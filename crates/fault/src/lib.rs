@@ -46,22 +46,13 @@ pub use plan::{FaultClass, FaultPayload, FaultPlan, KernelProfile, PlannedFault}
 // crate.
 pub use scratch_system::{CuFault, CuUpset, FaultRecord, FaultSpec, FaultTarget, MemUpset};
 
-/// CRC-32 (IEEE 802.3, reflected) over a word slice — the output
-/// signature detectors compare. Table-free bitwise form: campaign
-/// outputs are a few KiB, so simplicity beats a 1 KiB table.
+/// CRC-32 (IEEE 802.3, reflected) over a word slice's little-endian
+/// bytes — the output signature detectors compare; the log's
+/// [`scratch_wal::crc32_bytes`] does the work.
 #[must_use]
 pub fn crc32(words: &[u32]) -> u32 {
-    let mut crc = 0xffff_ffffu32;
-    for w in words {
-        for &b in &w.to_le_bytes() {
-            crc ^= u32::from(b);
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-            }
-        }
-    }
-    !crc
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    scratch_wal::crc32_bytes(&bytes)
 }
 
 #[cfg(test)]

@@ -894,6 +894,115 @@ fn wal_recovery_survives_a_garbage_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A replayed checkpoint whose memory image is malformed, inside a
+/// CRC-valid frame, fails only its own job: restore rejects it with a
+/// typed error before allocating, the failure is journaled as the job's
+/// completion, and a sibling replay and live traffic are served as usual.
+#[test]
+fn wal_replay_of_a_malformed_memory_image_fails_only_its_job() {
+    use scratch_system::DispatchProgress;
+    use scratch_wal::{FsyncPolicy, Record, Wal, WalConfig};
+    use serde::{Serialize, Value};
+
+    fn entry<'v>(v: &'v mut Value, key: &str) -> &'v mut Value {
+        match v {
+            Value::Object(map) => map.get_mut(key).expect("checkpoint field"),
+            other => panic!("expected an object, got {}", other.kind()),
+        }
+    }
+
+    let dir = wal_dir("bad-image");
+    let gk_bad = workload(340, 2);
+    let gk_ok = workload(350, 2);
+    let (_, ok_words) = direct_run(&gk_ok);
+
+    // A genuine quantum-boundary checkpoint of the job, as its first
+    // slice would journal it, with one page pushed past the image's end.
+    let kernel = gk_bad.build().expect("buildable");
+    let mut sys = System::new(SystemConfig::preset(SystemKind::DcdPm), &kernel).expect("system");
+    let out = sys.alloc(gk_bad.out_bytes().max(4));
+    let inp = sys.alloc_words(&gk_bad.image);
+    sys.set_args(&[out as u32, inp as u32]);
+    assert_eq!(
+        sys.dispatch_preemptible([gk_bad.wgs, 1, 1], 100)
+            .expect("dispatch"),
+        DispatchProgress::Paused
+    );
+    let mut tree = sys.checkpoint().expect("paused").to_sval();
+    let image = entry(entry(&mut tree, "memory"), "image");
+    let Value::Array(pages) = entry(image, "pages") else {
+        panic!("image pages are an array");
+    };
+    let mut stray = pages.last().expect("the input page").clone();
+    *entry(&mut stray, "index") = Value::U64(1 << 40);
+    pages.push(stray);
+    let snap = scratch_snap::to_bytes(&tree);
+
+    {
+        let (mut wal, _) = Wal::open(WalConfig {
+            fsync: FsyncPolicy::Never,
+            ..WalConfig::new(&dir)
+        })
+        .expect("fresh log");
+        for (id, gk, label) in [(5, &gk_bad, "bad-image"), (6, &gk_ok, "sibling")] {
+            wal.append(&Record::Admitted {
+                id,
+                tenant: "alpha".to_owned(),
+                label: label.to_owned(),
+                payload: serde_json::to_string(&submit_of(gk, "alpha", label, false))
+                    .expect("serializable")
+                    .into_bytes(),
+            })
+            .expect("append");
+        }
+        wal.append(&Record::Checkpoint {
+            id: 5,
+            out_addr: out,
+            snap,
+        })
+        .expect("append");
+    }
+
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 2,
+            wal: Some(scratch_wal::WalConfig::new(&dir)),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind with wal");
+    let report = server.recovery_report().expect("wal configured");
+    assert_eq!(report.replayed, 2);
+    assert_eq!(report.resumed, 1);
+
+    let bad = await_completion(&dir, 5);
+    assert!(!bad.ok, "a malformed image must fail its job");
+    assert!(
+        bad.error.contains("malformed checkpoint memory image"),
+        "typed restore error journaled: {}",
+        bad.error
+    );
+    let sibling = await_completion(&dir, 6);
+    assert!(sibling.ok, "sibling replay failed: {}", sibling.error);
+    assert_eq!(sibling.digest, fnv1a(&ok_words));
+
+    // The daemon keeps serving live traffic.
+    let mut client = ServeClient::connect(server.addr()).expect("connect");
+    client
+        .submit(submit_of(&gk_ok, "alpha", "live", false))
+        .expect("protocol")
+        .expect("admitted");
+    let d = client.recv_done().expect("live job completes");
+    assert!(d.ok, "live job failed: {:?}", d.error);
+    assert_eq!(d.digest, fnv1a(&ok_words));
+    server.shutdown();
+
+    let vr = scratch_wal::verify(&dir).expect("verify");
+    assert!(vr.clean(), "post-shutdown log must be clean: {vr:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// With `idle_timeout` set, a connection that goes silent with nothing in
 /// flight is shed with the typed `IdleTimeout` rejection and closed —
 /// while activity (even just pings) keeps it alive indefinitely.

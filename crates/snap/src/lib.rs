@@ -380,16 +380,29 @@ pub struct MemoryImage {
 }
 
 impl MemoryImage {
-    /// Capture `data`, skipping pages that are entirely zero.
+    /// Capture `data`, skipping pages that are entirely zero. Reads every
+    /// byte; [`MemoryImage::capture_pages`] reads only the pages it names.
     #[must_use]
     pub fn capture(data: &[u8]) -> MemoryImage {
-        let pages = data
-            .chunks(IMAGE_PAGE)
-            .enumerate()
-            .filter(|(_, chunk)| chunk.iter().any(|&b| b != 0))
-            .map(|(index, chunk)| ImagePage {
-                index: index as u64,
-                data: chunk.to_vec(),
+        MemoryImage::capture_pages(data, 0..data.len().div_ceil(IMAGE_PAGE))
+    }
+
+    /// Capture the pages of `data` named by `pages`, which must be in
+    /// ascending order, skipping pages that are entirely zero. Equals
+    /// [`MemoryImage::capture`] when `pages` covers every page holding a
+    /// non-zero byte, so a memory that tracks the pages it has written
+    /// can checkpoint without scanning the rest.
+    #[must_use]
+    pub fn capture_pages(data: &[u8], pages: impl IntoIterator<Item = usize>) -> MemoryImage {
+        let pages = pages
+            .into_iter()
+            .filter_map(|index| {
+                let start = index * IMAGE_PAGE;
+                let chunk = data.get(start..data.len().min(start + IMAGE_PAGE))?;
+                chunk.iter().any(|&b| b != 0).then(|| ImagePage {
+                    index: index as u64,
+                    data: chunk.to_vec(),
+                })
             })
             .collect();
         MemoryImage {

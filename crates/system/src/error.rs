@@ -53,6 +53,82 @@ pub enum SystemError {
         /// What diverged.
         what: String,
     },
+    /// A global memory larger than [`crate::MAX_MEMORY_BYTES`] was asked
+    /// for, by a configuration or by a checkpoint being restored.
+    MemoryTooLarge {
+        /// Bytes requested.
+        requested: u64,
+        /// The largest memory a system models.
+        max: u64,
+    },
+    /// A checkpoint's memory image cannot be rebuilt (found before
+    /// anything is allocated for it).
+    MalformedImage(ImageFault),
+}
+
+/// What is wrong with a checkpoint's memory image
+/// ([`SystemError::MalformedImage`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ImageFault {
+    /// The image length differs from the checkpoint's memory size.
+    LengthMismatch {
+        /// Memory size the checkpoint's configuration claims.
+        memory_bytes: u64,
+        /// Length the image claims.
+        image_len: u64,
+    },
+    /// A page starts at or ends past the end of the image.
+    PageOutOfRange {
+        /// The page's index.
+        index: u64,
+        /// Image length in bytes.
+        len: u64,
+    },
+    /// A page index appears twice.
+    PageRepeated {
+        /// The repeated index.
+        index: u64,
+    },
+    /// A page index is lower than the one before it.
+    PageOutOfOrder {
+        /// The page's index.
+        index: u64,
+        /// The index before it.
+        previous: u64,
+    },
+    /// A page carries more bytes than a page holds.
+    PageTooLong {
+        /// The page's index.
+        index: u64,
+        /// Bytes it carries.
+        bytes: u64,
+    },
+}
+
+impl fmt::Display for ImageFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ImageFault::LengthMismatch {
+                memory_bytes,
+                image_len,
+            } => write!(
+                f,
+                "image of {image_len} bytes for a memory of {memory_bytes} bytes"
+            ),
+            ImageFault::PageOutOfRange { index, len } => {
+                write!(f, "page {index} lies outside the {len}-byte image")
+            }
+            ImageFault::PageRepeated { index } => write!(f, "page {index} appears twice"),
+            ImageFault::PageOutOfOrder { index, previous } => {
+                write!(f, "page {index} follows page {previous}")
+            }
+            ImageFault::PageTooLong { index, bytes } => write!(
+                f,
+                "page {index} carries {bytes} bytes, more than a {}-byte page",
+                scratch_snap::IMAGE_PAGE
+            ),
+        }
+    }
 }
 
 impl fmt::Display for SystemError {
@@ -86,6 +162,13 @@ impl fmt::Display for SystemError {
             SystemError::Snap(e) => write!(f, "snapshot: {e}"),
             SystemError::FastDivergence { what } => {
                 write!(f, "fast tier diverged from the cycle pipeline: {what}")
+            }
+            SystemError::MemoryTooLarge { requested, max } => write!(
+                f,
+                "global memory of {requested} bytes requested, but a system models at most {max}"
+            ),
+            SystemError::MalformedImage(fault) => {
+                write!(f, "malformed checkpoint memory image: {fault}")
             }
         }
     }

@@ -65,12 +65,12 @@ pub mod fault;
 mod memory;
 mod system;
 
-pub use error::SystemError;
+pub use error::{ImageFault, SystemError};
 pub use fault::{CuUpset, FaultSpec, MemUpset};
 pub use memory::{EpochDelta, EpochMemory, EpochState, MemTiming, MemoryState, SharedMemory};
 pub use system::{
     DispatchProgress, ExecMode, RunReport, System, SystemCheckpoint, SystemConfig, SystemKind,
-    TraceMode,
+    TraceMode, MAX_MEMORY_BYTES,
 };
 
 pub use scratch_cu::{CuError, CuFault, CuStats, FaultRecord, FaultTarget};

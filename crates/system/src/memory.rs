@@ -1,9 +1,12 @@
 //! The shared global memory with configuration-dependent timing.
 
-use scratch_snap::MemoryImage;
+use scratch_snap::{MemoryImage, IMAGE_PAGE};
 use serde::{Deserialize, Serialize};
 
 use scratch_cu::{AccessKind, Memory};
+
+use crate::error::ImageFault;
+use crate::{SystemError, MAX_MEMORY_BYTES};
 
 /// Memory-path timing parameters, in CU cycles (50 MHz).
 ///
@@ -88,6 +91,11 @@ impl MemTiming {
 #[derive(Debug, Clone)]
 pub struct SharedMemory {
     data: Vec<u8>,
+    /// One bit per [`EPOCH_PAGE`] page of `data`, set once any byte of the
+    /// page has been written. Every page holding a non-zero byte is in the
+    /// set, so a checkpoint copies these pages instead of scanning all of
+    /// `data`; every mutator of `data` must mark what it touches.
+    written: Vec<u64>,
     timing: MemTiming,
     /// Byte ranges resident in the prefetch buffer.
     prefetched: Vec<(u64, u64)>,
@@ -121,6 +129,7 @@ impl SharedMemory {
     pub fn new(size: usize, timing: MemTiming) -> SharedMemory {
         SharedMemory {
             data: vec![0; size],
+            written: vec![0; size.div_ceil(EPOCH_PAGE).div_ceil(64)],
             timing,
             prefetched: Vec::new(),
             prefetched_bytes: 0,
@@ -258,10 +267,40 @@ impl SharedMemory {
     ///
     /// Panics if the range does not fit.
     pub fn write_words(&mut self, addr: u64, words: &[u32]) {
-        for (i, w) in words.iter().enumerate() {
-            let a = addr as usize + i * 4;
-            self.data[a..a + 4].copy_from_slice(&w.to_le_bytes());
+        if words.is_empty() {
+            return;
         }
+        let start = addr as usize;
+        let dst = &mut self.data[start..start + words.len() * 4];
+        for (bytes, w) in dst.chunks_exact_mut(4).zip(words) {
+            bytes.copy_from_slice(&w.to_le_bytes());
+        }
+        self.mark_written(start, words.len() * 4);
+    }
+
+    /// Add the pages of `[start, start + len)` (`len > 0`) to the written
+    /// set.
+    fn mark_written(&mut self, start: usize, len: usize) {
+        for page in start / EPOCH_PAGE..=(start + len - 1) / EPOCH_PAGE {
+            self.mark_page(page);
+        }
+    }
+
+    fn mark_page(&mut self, page: usize) {
+        self.written[page / 64] |= 1 << (page % 64);
+    }
+
+    /// Indices of the pages in the written set, ascending.
+    fn written_pages(&self) -> impl Iterator<Item = usize> + '_ {
+        self.written
+            .iter()
+            .enumerate()
+            .filter(|&(_, &bits)| bits != 0)
+            .flat_map(|(w, &bits)| {
+                (0..64)
+                    .filter(move |b| bits >> b & 1 != 0)
+                    .map(move |b| w * 64 + b)
+            })
     }
 
     /// Flip one bit of a memory byte (host-side upset injection; no
@@ -273,6 +312,7 @@ impl SharedMemory {
         }
         let a = (addr % self.data.len() as u64) as usize;
         self.data[a] ^= 1 << (bit % 8);
+        self.mark_written(a, 1);
     }
 
     /// Read words back (host-side read; no timing).
@@ -305,6 +345,7 @@ impl Memory for SharedMemory {
         let a = addr as usize;
         if a + 4 <= self.data.len() {
             self.data[a..a + 4].copy_from_slice(&value.to_le_bytes());
+            self.mark_written(a, 4);
         }
     }
 
@@ -331,8 +372,9 @@ impl Memory for SharedMemory {
     }
 }
 
-/// Page granularity of the epoch copy-on-write views.
-const EPOCH_PAGE: usize = 4096;
+/// Page granularity of the epoch copy-on-write views and of the written
+/// set: the checkpoint image's page, so a set bit names one image page.
+const EPOCH_PAGE: usize = IMAGE_PAGE;
 
 /// Everything a CU's [`EpochMemory`] view carries back to the shared
 /// memory when its shard of a dispatch completes: dirtied pages, the
@@ -612,6 +654,7 @@ impl SharedMemory {
     /// earlier ones is part of the deterministic dispatch semantics.
     pub fn commit(&mut self, delta: EpochDelta) {
         for (pidx, page) in delta.pages {
+            self.mark_page(pidx);
             let start = pidx * EPOCH_PAGE;
             for (w, &mask) in page.written.iter().enumerate() {
                 if mask == 0 {
@@ -707,11 +750,13 @@ impl SharedMemory {
 
     /// Capture the memory's complete state (functional contents as a
     /// sparse image, timing model, prefetch residency, server clock and
-    /// counters) for a system checkpoint.
+    /// counters) for a system checkpoint. The image holds the same pages
+    /// as [`MemoryImage::capture`] of the full contents, but only the
+    /// written pages are read to build it.
     #[must_use]
     pub fn checkpoint_state(&self) -> MemoryState {
         MemoryState {
-            image: MemoryImage::capture(&self.data),
+            image: MemoryImage::capture_pages(&self.data, self.written_pages()),
             timing: self.timing,
             prefetched: self.prefetched.clone(),
             prefetched_bytes: self.prefetched_bytes,
@@ -725,10 +770,20 @@ impl SharedMemory {
     }
 
     /// Rebuild a memory from [`SharedMemory::checkpoint_state`] output.
-    #[must_use]
-    pub fn restore_state(state: &MemoryState) -> SharedMemory {
-        SharedMemory {
-            data: state.image.restore(),
+    /// The image is checked before anything is allocated for it.
+    ///
+    /// # Errors
+    ///
+    /// [`SystemError::MemoryTooLarge`] when the image is longer than
+    /// [`MAX_MEMORY_BYTES`]; [`SystemError::MalformedImage`] when a page
+    /// lies outside the image, repeats or breaks ascending order, or is
+    /// longer than a page.
+    pub fn restore_state(state: &MemoryState) -> Result<SharedMemory, SystemError> {
+        check_image(&state.image)?;
+        let data = state.image.restore();
+        let mut mem = SharedMemory {
+            written: vec![0; data.len().div_ceil(EPOCH_PAGE).div_ceil(64)],
+            data,
             timing: state.timing,
             prefetched: state.prefetched.clone(),
             prefetched_bytes: state.prefetched_bytes,
@@ -738,15 +793,57 @@ impl SharedMemory {
             prefetch_hits: state.prefetch_hits,
             prefetch_hit_bytes: state.prefetch_hit_bytes,
             queue_wait: state.queue_wait,
+        };
+        for page in &state.image.pages {
+            mem.mark_page(page.index as usize);
         }
+        Ok(mem)
     }
+}
+
+/// Check that `image` describes a memory of at most [`MAX_MEMORY_BYTES`]
+/// whose pages each lie inside it, at most one page long, in strictly
+/// ascending index order — the shape [`MemoryImage::capture`] produces.
+fn check_image(image: &MemoryImage) -> Result<(), SystemError> {
+    let max = MAX_MEMORY_BYTES as u64;
+    if image.len > max {
+        return Err(SystemError::MemoryTooLarge {
+            requested: image.len,
+            max,
+        });
+    }
+    let mut previous: Option<u64> = None;
+    for page in &image.pages {
+        let index = page.index;
+        let bytes = page.data.len() as u64;
+        let start = index.checked_mul(IMAGE_PAGE as u64);
+        let fault = match previous {
+            Some(previous) if index == previous => Some(ImageFault::PageRepeated { index }),
+            Some(previous) if index < previous => {
+                Some(ImageFault::PageOutOfOrder { index, previous })
+            }
+            _ if bytes > IMAGE_PAGE as u64 => Some(ImageFault::PageTooLong { index, bytes }),
+            _ if start.is_none_or(|s| s >= image.len || s + bytes > image.len) => {
+                Some(ImageFault::PageOutOfRange {
+                    index,
+                    len: image.len,
+                })
+            }
+            _ => None,
+        };
+        if let Some(fault) = fault {
+            return Err(SystemError::MalformedImage(fault));
+        }
+        previous = Some(index);
+    }
+    Ok(())
 }
 
 /// Serializable complete state of a [`SharedMemory`], as captured by
 /// [`SharedMemory::checkpoint_state`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MemoryState {
-    image: MemoryImage,
+    pub(crate) image: MemoryImage,
     timing: MemTiming,
     prefetched: Vec<(u64, u64)>,
     prefetched_bytes: u64,
@@ -761,6 +858,7 @@ pub struct MemoryState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn presets_are_strictly_ordered() {
@@ -956,7 +1054,7 @@ mod tests {
         m.access(AccessKind::VectorLoad, 4096, 64, 0);
         let bytes = scratch_snap::to_bytes(&m.checkpoint_state());
         let state: MemoryState = scratch_snap::from_bytes(&bytes).unwrap();
-        let mut r = SharedMemory::restore_state(&state);
+        let mut r = SharedMemory::restore_state(&state).expect("a captured image restores");
         assert_eq!(r.read_words(8, 3), vec![1, 2, 3]);
         assert_eq!(r.len(), m.len());
         assert_eq!(r.server_free, m.server_free);
@@ -968,6 +1066,86 @@ mod tests {
             m.access(AccessKind::ScalarLoad, 4096, 1, 5),
             r.access(AccessKind::ScalarLoad, 4096, 1, 5)
         );
+    }
+
+    /// One host- or CU-side mutation of a [`SharedMemory`].
+    #[derive(Debug, Clone)]
+    enum Op {
+        Words(u64, Vec<u32>),
+        U32(u64, u32),
+        Flip(u64, u8),
+        /// Two epoch views' writes, committed in order.
+        Epoch(Vec<(u64, u32)>, Vec<(u64, u32)>),
+        /// Checkpoint, serialize and restore.
+        Restore,
+    }
+
+    /// Three full pages and a short one; a multiple of 4 so every byte
+    /// reads back as part of a word.
+    const PROP_LEN: usize = 3 * EPOCH_PAGE + 256;
+
+    fn op() -> impl Strategy<Value = Op> {
+        // Zero-heavy values, so written pages that hold only zeros (which
+        // a checkpoint must skip) are common.
+        let value = || prop_oneof![Just(0u32), any::<u32>()];
+        let addr = || 0..PROP_LEN as u64 + 8;
+        let writes = move || prop::collection::vec((addr(), value()), 0..6);
+        prop_oneof![
+            (
+                0..(PROP_LEN - 32) as u64,
+                prop::collection::vec(value(), 0..8)
+            )
+                .prop_map(|(a, w)| Op::Words(a, w)),
+            (addr(), value()).prop_map(|(a, v)| Op::U32(a, v)),
+            (any::<u64>(), any::<u8>()).prop_map(|(a, b)| Op::Flip(a, b)),
+            (writes(), writes()).prop_map(|(a, b)| Op::Epoch(a, b)),
+            Just(Op::Restore),
+        ]
+    }
+
+    fn apply(m: &mut SharedMemory, op: Op) {
+        match op {
+            Op::Words(addr, words) => m.write_words(addr, &words),
+            Op::U32(addr, v) => m.write_u32(addr, v),
+            Op::Flip(addr, bit) => m.flip_bit(addr, bit),
+            Op::Epoch(a, b) => {
+                let (mut va, mut vb) = (m.epoch(), m.epoch());
+                for (addr, v) in a {
+                    va.write_u32(addr, v);
+                }
+                for (addr, v) in b {
+                    vb.write_u32(addr, v);
+                }
+                let (da, db) = (va.finish(), vb.finish());
+                m.commit(da);
+                m.commit(db);
+            }
+            Op::Restore => {
+                let bytes = scratch_snap::to_bytes(&m.checkpoint_state());
+                let state: MemoryState = scratch_snap::from_bytes(&bytes).unwrap();
+                *m = SharedMemory::restore_state(&state).unwrap();
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every page holding a non-zero byte is in the written set, so a
+        /// checkpoint's image equals the full scan of the same bytes.
+        #[test]
+        fn checkpoint_image_equals_full_scan(ops in prop::collection::vec(op(), 1..24)) {
+            let mut m = SharedMemory::new(PROP_LEN, MemTiming::dcd_pm());
+            for op in ops {
+                apply(&mut m, op);
+                let bytes: Vec<u8> = m
+                    .read_words(0, PROP_LEN / 4)
+                    .iter()
+                    .flat_map(|w| w.to_le_bytes())
+                    .collect();
+                prop_assert_eq!(m.checkpoint_state().image, MemoryImage::capture(&bytes));
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use scratch_trace::{EventBuffer, StallReason, TraceEvent, TraceSummary, Tracer a
 
 use crate::fault::{CuFault, FaultRecord, FaultSpec, ScheduledFaults};
 use crate::memory::{EpochDelta, EpochMemory, EpochState, MemTiming, MemoryState, SharedMemory};
-use crate::{abi, SystemError};
+use crate::{abi, ImageFault, SystemError};
 
 /// Allocator capacity bound for the paper's device (cached — the additive
 /// resource model is pure, so the bound never changes within a process).
@@ -110,6 +110,12 @@ pub enum ExecMode {
     FastWithTiming,
 }
 
+/// The largest global memory a system models: the 64 MiB of DDR3 every
+/// preset carries. [`System::new`] rejects a configuration asking for
+/// more, and [`System::restore`] a checkpoint claiming more, before
+/// allocating anything for it.
+pub const MAX_MEMORY_BYTES: usize = 64 << 20;
+
 /// Configuration of a [`System`].
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
@@ -119,7 +125,7 @@ pub struct SystemConfig {
     pub cus: u8,
     /// Per-CU architecture configuration (VALU counts, trim set, …).
     pub cu: CuConfig,
-    /// Global memory size in bytes.
+    /// Global memory size in bytes, at most [`MAX_MEMORY_BYTES`].
     pub memory_bytes: usize,
     /// Mark allocations prefetch-resident automatically when the prefetch
     /// buffer has room (the paper preloads application data at startup).
@@ -162,7 +168,7 @@ impl SystemConfig {
             kind,
             cus: 1,
             cu: CuConfig::default(),
-            memory_bytes: 64 << 20,
+            memory_bytes: MAX_MEMORY_BYTES,
             auto_prefetch: true,
             trace: TraceMode::Off,
             workers: 1,
@@ -391,6 +397,12 @@ impl System {
             return Err(SystemError::InvalidCuCount {
                 requested: config.cus,
                 max,
+            });
+        }
+        if config.memory_bytes > MAX_MEMORY_BYTES {
+            return Err(SystemError::MemoryTooLarge {
+                requested: config.memory_bytes as u64,
+                max: MAX_MEMORY_BYTES as u64,
             });
         }
         let mut mem = SharedMemory::new(config.memory_bytes, config.kind.timing());
@@ -1259,7 +1271,10 @@ impl System {
     ///
     /// Fails when the checkpoint's shard tables are inconsistent or a CU
     /// snapshot does not validate against the configuration and kernel it
-    /// claims ([`SystemError::Preemption`], [`SystemError::Cu`]).
+    /// claims ([`SystemError::Preemption`], [`SystemError::Cu`]), and —
+    /// before any memory is allocated — when its memory is larger than
+    /// [`MAX_MEMORY_BYTES`] ([`SystemError::MemoryTooLarge`]) or its image
+    /// does not describe that memory ([`SystemError::MalformedImage`]).
     pub fn restore(
         ck: &SystemCheckpoint,
         registry: Option<Registry>,
@@ -1287,10 +1302,17 @@ impl System {
             return Err(preemption("checkpoint paused on an unknown kernel index"));
         }
         let args_addr = ck.args_addr.ok_or(SystemError::ArgsNotSet)?;
+        if ck.memory_bytes != ck.memory.image.len {
+            return Err(SystemError::MalformedImage(ImageFault::LengthMismatch {
+                memory_bytes: ck.memory_bytes,
+                image_len: ck.memory.image.len,
+            }));
+        }
+        let mem = SharedMemory::restore_state(&ck.memory)?;
         let mut config = SystemConfig::preset(ck.kind);
         config.cus = ck.cus;
         config.cu = ck.cu.clone();
-        config.memory_bytes = ck.memory_bytes as usize;
+        config.memory_bytes = mem.len();
         config.auto_prefetch = ck.auto_prefetch;
         config.metrics = ck.metrics;
         config.registry = registry;
@@ -1307,7 +1329,7 @@ impl System {
             .iter()
             .map(|snap| ComputeUnit::restore(cu_cfg.clone(), &kernel, snap))
             .collect::<Result<Vec<_>, _>>()?;
-        sys.mem = SharedMemory::restore_state(&ck.memory);
+        sys.mem = mem;
         sys.bump = ck.bump;
         sys.args_addr = ck.args_addr;
         sys.args_len = ck.args_len;
@@ -2592,6 +2614,116 @@ mod tests {
         assert_eq!(report.per_kernel_cycles, ref_report.per_kernel_cycles);
         assert_eq!(report.global_accesses, ref_report.global_accesses);
         assert_eq!(report.prefetch_hits, ref_report.prefetch_hits);
+    }
+
+    /// A paused `add_one` dispatch's checkpoint, its image holding the
+    /// input and argument pages.
+    fn paused_checkpoint() -> SystemCheckpoint {
+        let kernel = add_one_kernel(64);
+        let mut sys = System::new(SystemConfig::preset(SystemKind::DcdPm), &kernel).unwrap();
+        let input: Vec<u32> = (1..=2048).collect();
+        let a_in = sys.alloc_words(&input);
+        let a_out = sys.alloc(2048 * 4);
+        sys.set_args(&[a_in as u32, a_out as u32]);
+        assert_eq!(
+            sys.dispatch_preemptible([32, 1, 1], 50).unwrap(),
+            DispatchProgress::Paused
+        );
+        let ck = sys.checkpoint().unwrap();
+        assert!(ck.memory.image.pages.len() >= 2, "too few pages to reorder");
+        ck
+    }
+
+    fn restore_fault(ck: &SystemCheckpoint) -> ImageFault {
+        match System::restore(ck, None) {
+            Err(SystemError::MalformedImage(fault)) => fault,
+            other => panic!("expected a malformed image, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_image_length_mismatch() {
+        let mut ck = paused_checkpoint();
+        ck.memory_bytes += 4096;
+        assert!(matches!(
+            restore_fault(&ck),
+            ImageFault::LengthMismatch { .. }
+        ));
+    }
+
+    #[test]
+    fn restore_rejects_memory_past_the_maximum_before_allocating() {
+        let mut ck = paused_checkpoint();
+        // Allocating this much would abort the process, not return.
+        ck.memory_bytes = 1 << 50;
+        ck.memory.image.len = 1 << 50;
+        assert!(matches!(
+            System::restore(&ck, None),
+            Err(SystemError::MemoryTooLarge { requested, max })
+                if requested == 1 << 50 && max == MAX_MEMORY_BYTES as u64
+        ));
+    }
+
+    #[test]
+    fn restore_rejects_page_out_of_range() {
+        let mut ck = paused_checkpoint();
+        let index = ck.memory.image.len / 4096;
+        ck.memory.image.pages.push(scratch_snap::ImagePage {
+            index,
+            data: vec![1],
+        });
+        assert_eq!(
+            restore_fault(&ck),
+            ImageFault::PageOutOfRange {
+                index,
+                len: ck.memory.image.len
+            }
+        );
+    }
+
+    #[test]
+    fn restore_rejects_repeated_page() {
+        let mut ck = paused_checkpoint();
+        let last = ck.memory.image.pages.last().unwrap().clone();
+        let index = last.index;
+        ck.memory.image.pages.push(last);
+        assert_eq!(restore_fault(&ck), ImageFault::PageRepeated { index });
+    }
+
+    #[test]
+    fn restore_rejects_pages_out_of_order() {
+        let mut ck = paused_checkpoint();
+        ck.memory.image.pages.swap(0, 1);
+        let (index, previous) = (
+            ck.memory.image.pages[1].index,
+            ck.memory.image.pages[0].index,
+        );
+        assert_eq!(
+            restore_fault(&ck),
+            ImageFault::PageOutOfOrder { index, previous }
+        );
+    }
+
+    #[test]
+    fn restore_rejects_page_longer_than_a_page() {
+        let mut ck = paused_checkpoint();
+        let page = &mut ck.memory.image.pages[0];
+        page.data.resize(4097, 0);
+        let index = page.index;
+        assert_eq!(
+            restore_fault(&ck),
+            ImageFault::PageTooLong { index, bytes: 4097 }
+        );
+    }
+
+    #[test]
+    fn configs_past_the_memory_maximum_are_rejected() {
+        let mut config = SystemConfig::preset(SystemKind::DcdPm);
+        config.memory_bytes = MAX_MEMORY_BYTES + 1;
+        assert!(matches!(
+            System::new(config, &add_one_kernel(64)),
+            Err(SystemError::MemoryTooLarge { .. })
+        ));
     }
 
     #[test]
