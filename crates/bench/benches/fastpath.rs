@@ -25,6 +25,8 @@ fn config(exec: ExecMode) -> SystemConfig {
     SystemConfig::preset(SystemKind::DcdPm).with_exec(exec)
 }
 
+const PRESETS: [SystemKind; 3] = [SystemKind::Original, SystemKind::Dcd, SystemKind::DcdPm];
+
 fn fastpath(c: &mut Criterion) {
     let mut group = c.benchmark_group("fastpath");
     group.sample_size(10);
@@ -38,25 +40,36 @@ fn fastpath(c: &mut Criterion) {
     }
     group.finish();
 
-    // Wall-clock instr/s table (the BENCH_fastpath.json source). One warm
-    // measurement per tier per workload keeps `--test` mode quick.
-    println!("\nworkload, cycle_instr_per_s, fast_instr_per_s, speedup");
-    for bench in workloads() {
-        let measure = |exec: ExecMode| {
-            bench.run(config(exec)).expect("warmup");
-            let start = Instant::now();
-            let report = bench.run(config(exec)).expect("validated run");
-            report.stats.instructions as f64 / start.elapsed().as_secs_f64()
-        };
-        let cycle = measure(ExecMode::Cycle);
-        let fast = measure(ExecMode::Fast);
-        println!(
-            "{}, {:.0}, {:.0}, {:.2}x",
-            bench.name(),
-            cycle,
-            fast,
-            fast / cycle
-        );
+    // Wall-clock instr/s table per preset (the BENCH_fastpath.json and
+    // EXPERIMENTS.md source): the median of a few warm runs per tier per
+    // cell, which keeps `--test` mode quick while one slow run cannot set
+    // a cell.
+    println!("\npreset, workload, cycle_instr_per_s, fast_instr_per_s, speedup");
+    for kind in PRESETS {
+        for bench in workloads() {
+            let measure = |exec: ExecMode| {
+                let config = SystemConfig::preset(kind).with_exec(exec);
+                bench.run(config.clone()).expect("warmup");
+                let mut rates: Vec<f64> = (0..5)
+                    .map(|_| {
+                        let start = Instant::now();
+                        let report = bench.run(config.clone()).expect("validated run");
+                        report.stats.instructions as f64 / start.elapsed().as_secs_f64()
+                    })
+                    .collect();
+                rates.sort_by(f64::total_cmp);
+                rates[rates.len() / 2]
+            };
+            let cycle = measure(ExecMode::Cycle);
+            let fast = measure(ExecMode::Fast);
+            println!(
+                "{kind:?}, {}, {:.0}, {:.0}, {:.2}x",
+                bench.name(),
+                cycle,
+                fast,
+                fast / cycle
+            );
+        }
     }
 }
 

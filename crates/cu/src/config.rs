@@ -2,9 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use scratch_isa::{Category, Opcode};
+use scratch_isa::{Category, FuncUnit, Opcode};
 
-use crate::TrimSet;
+use crate::{CuError, TrimSet};
 
 /// Execution latencies, in CU cycles, per operation class.
 ///
@@ -129,6 +129,28 @@ impl CuConfig {
     #[must_use]
     pub fn vector_beats(&self) -> u64 {
         (scratch_isa::WAVEFRONT_SIZE as u64).div_ceil(u64::from(self.simd_width.max(1)))
+    }
+
+    /// The error issuing `opcode` raises on this architecture, if any: an
+    /// instruction the trimming tool removed is checked first, then one
+    /// whose functional unit is not instantiated. Both execution tiers
+    /// enforce exactly this when the instruction issues.
+    #[must_use]
+    pub fn issue_error(&self, opcode: Opcode) -> Option<CuError> {
+        if self
+            .trim
+            .as_ref()
+            .is_some_and(|trim| !trim.contains(opcode))
+        {
+            return Some(CuError::Trimmed { opcode });
+        }
+        let unit = opcode.unit();
+        let missing = match unit {
+            FuncUnit::Simd => self.int_valus == 0,
+            FuncUnit::Simf => self.fp_valus == 0,
+            _ => false,
+        };
+        missing.then_some(CuError::MissingUnit { unit, opcode })
     }
 }
 

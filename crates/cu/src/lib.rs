@@ -40,6 +40,7 @@ mod fault;
 /// Timing-free functional execution (shared by the cycle pipeline and the
 /// `scratch-fastpath` block-compiled executor).
 pub mod func;
+mod issue;
 mod memory;
 mod pipeline;
 mod stats;

@@ -1,213 +1,18 @@
 //! The compute-unit timing model: fetch/decode/issue scheduling over the
 //! functional executor.
 
-use std::collections::HashMap;
-
 use scratch_asm::{Kernel, KernelMeta};
-use scratch_isa::{Fields, FuncUnit, Instruction, Opcode, Operand, WAVEFRONT_SIZE};
+use scratch_isa::{FuncUnit, Instruction, Opcode, WAVEFRONT_SIZE};
 use scratch_snap::{CuSnapshot, WaveSnapshot, WorkgroupSnapshot};
 use scratch_trace::{Attribution, StallReason, TraceEvent, TraceSummary, Tracer};
 use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultHook;
 use crate::func::{execute, MemEvent};
+use crate::issue::{IssueDesc, Layout, Scoreboard, ISSUE_CLASSES};
 use crate::memory::Memory;
 use crate::wavefront::{WaveState, Wavefront};
 use crate::{CuConfig, CuError, CuStats};
-
-/// Register-level dependency key for the issue scoreboard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum RegKey {
-    S(u8),
-    V(u8),
-    Vcc,
-    Exec,
-    Scc,
-    M0,
-}
-
-impl RegKey {
-    /// Stable integer encoding used by [`CuSnapshot`] scoreboard entries.
-    fn code(self) -> u32 {
-        match self {
-            RegKey::S(n) => u32::from(n),
-            RegKey::V(n) => 0x100 + u32::from(n),
-            RegKey::Vcc => 0x200,
-            RegKey::Exec => 0x201,
-            RegKey::Scc => 0x202,
-            RegKey::M0 => 0x203,
-        }
-    }
-
-    fn from_code(code: u32) -> Option<RegKey> {
-        Some(match code {
-            0..=0xff => RegKey::S(code as u8),
-            0x100..=0x1ff => RegKey::V((code - 0x100) as u8),
-            0x200 => RegKey::Vcc,
-            0x201 => RegKey::Exec,
-            0x202 => RegKey::Scc,
-            0x203 => RegKey::M0,
-            _ => return None,
-        })
-    }
-}
-
-fn scalar_key(op: Operand) -> Option<RegKey> {
-    match op {
-        Operand::Sgpr(n) => Some(RegKey::S(n)),
-        Operand::VccLo | Operand::VccHi | Operand::Vccz => Some(RegKey::Vcc),
-        Operand::ExecLo | Operand::ExecHi | Operand::Execz => Some(RegKey::Exec),
-        Operand::Scc => Some(RegKey::Scc),
-        Operand::M0 => Some(RegKey::M0),
-        _ => None,
-    }
-}
-
-fn push_group(keys: &mut Vec<RegKey>, base: RegKey, width: u8) {
-    match base {
-        RegKey::S(n) => {
-            for i in 0..width {
-                keys.push(RegKey::S(n.saturating_add(i)));
-            }
-        }
-        RegKey::V(n) => {
-            for i in 0..width {
-                keys.push(RegKey::V(n.saturating_add(i)));
-            }
-        }
-        other => keys.push(other),
-    }
-}
-
-/// Source registers an instruction reads (for scoreboarding).
-fn source_keys(inst: &Instruction) -> Vec<RegKey> {
-    let op = inst.opcode;
-    let mut keys = Vec::with_capacity(6);
-    for src in inst.source_operands() {
-        match src {
-            Operand::Vgpr(r) => keys.push(RegKey::V(r)),
-            other => {
-                if let Some(k) = scalar_key(other) {
-                    push_group(&mut keys, k, op.src_width());
-                }
-            }
-        }
-    }
-    // Vector instructions read the execute mask.
-    if op.is_vector_alu() || op.is_vector_memory() || op.is_lds() {
-        keys.push(RegKey::Exec);
-    }
-    // Implicit VCC / SCC reads.
-    if op.reads_vcc_implicitly() || op == Opcode::VCndmaskB32 {
-        keys.push(RegKey::Vcc);
-    }
-    match op {
-        Opcode::SCselectB32
-        | Opcode::SCmovB32
-        | Opcode::SAddcU32
-        | Opcode::SSubbU32
-        | Opcode::SCbranchScc0
-        | Opcode::SCbranchScc1 => keys.push(RegKey::Scc),
-        Opcode::SCbranchVccz | Opcode::SCbranchVccnz => keys.push(RegKey::Vcc),
-        Opcode::SCbranchExecz | Opcode::SCbranchExecnz => keys.push(RegKey::Exec),
-        _ => {}
-    }
-    // Read-modify-write destinations.
-    match inst.fields {
-        Fields::Sopk { sdst, .. }
-            if matches!(
-                op,
-                Opcode::SCmpkEqI32
-                    | Opcode::SCmpkLgI32
-                    | Opcode::SCmpkGtI32
-                    | Opcode::SCmpkGeI32
-                    | Opcode::SCmpkLtI32
-                    | Opcode::SCmpkLeI32
-                    | Opcode::SAddkI32
-                    | Opcode::SMulkI32
-            ) =>
-        {
-            if let Some(k) = scalar_key(sdst) {
-                keys.push(k);
-            }
-        }
-        Fields::Sop1 { sdst, .. }
-            if matches!(
-                op,
-                Opcode::SBitset0B32 | Opcode::SBitset1B32 | Opcode::SCmovB32
-            ) =>
-        {
-            if let Some(k) = scalar_key(sdst) {
-                keys.push(k);
-            }
-        }
-        Fields::Vop2 { vdst, .. } if op == Opcode::VMacF32 => keys.push(RegKey::V(vdst)),
-        // Buffer stores read the data register group.
-        Fields::Mubuf { vdata, .. } | Fields::Mtbuf { vdata, .. } if op.is_store() => {
-            push_group(&mut keys, RegKey::V(vdata), op.dst_width());
-        }
-        // Buffer descriptors span four SGPRs.
-        Fields::Mubuf { srsrc, .. } | Fields::Mtbuf { srsrc, .. } => {
-            push_group(&mut keys, RegKey::S(srsrc), 4);
-        }
-        _ => {}
-    }
-    keys
-}
-
-/// Destination registers an instruction writes (for scoreboarding).
-/// Memory-load destinations are deliberately excluded: SI software must
-/// order those with `s_waitcnt`, and the timing model charges them there.
-fn dest_keys(inst: &Instruction) -> Vec<RegKey> {
-    let op = inst.opcode;
-    let mut keys = Vec::with_capacity(4);
-    if op.is_memory() {
-        return keys;
-    }
-    match inst.fields {
-        Fields::Sop2 { sdst, .. } | Fields::Sopk { sdst, .. } | Fields::Sop1 { sdst, .. } => {
-            if let Some(k) = scalar_key(sdst) {
-                push_group(&mut keys, k, op.dst_width());
-            }
-        }
-        Fields::Sopc { .. } | Fields::Sopp { .. } => {}
-        Fields::Vop1 { vdst, .. } => {
-            if op == Opcode::VReadfirstlaneB32 {
-                keys.push(RegKey::S(vdst));
-            } else {
-                keys.push(RegKey::V(vdst));
-            }
-        }
-        Fields::Vop2 { vdst, .. } => keys.push(RegKey::V(vdst)),
-        Fields::Vopc { .. } => keys.push(RegKey::Vcc),
-        Fields::Vop3a { vdst, .. } => keys.push(RegKey::V(vdst)),
-        Fields::Vop3b { vdst, sdst, .. } => {
-            if !op.is_vector_compare() {
-                keys.push(RegKey::V(vdst));
-            }
-            if let Some(k) = scalar_key(sdst) {
-                push_group(&mut keys, k, 2);
-            }
-        }
-        _ => {}
-    }
-    if op.writes_scc() {
-        keys.push(RegKey::Scc);
-    }
-    if op.writes_vcc_implicitly() && !matches!(inst.fields, Fields::Vop3b { .. }) {
-        keys.push(RegKey::Vcc);
-    }
-    if matches!(
-        op,
-        Opcode::SAndSaveexecB64
-            | Opcode::SOrSaveexecB64
-            | Opcode::SXorSaveexecB64
-            | Opcode::SAndn2SaveexecB64
-    ) {
-        keys.push(RegKey::Exec);
-    }
-    keys
-}
 
 /// Initial state for one wavefront, as the ultra-threaded dispatcher would
 /// program it over the register access interfaces (§2.1.2).
@@ -332,8 +137,18 @@ pub struct ComputeUnit {
     meta: KernelMeta,
     /// Word-indexed decoded program.
     program: Vec<Option<Instruction>>,
+    /// Word-indexed issue facts of `program`; built at the first
+    /// [`ComputeUnit::run_until`] after the program is loaded (empty
+    /// before), so a CU that never runs on the cycle tier never pays for
+    /// them.
+    descs: Vec<Option<IssueDesc>>,
+    /// Scoreboard slot of each register under the kernel's budgets.
+    layout: Layout,
     waves: Vec<Wavefront>,
-    pending: Vec<HashMap<RegKey, u64>>,
+    /// Per-wave pending register writes.
+    scoreboards: Vec<Scoreboard>,
+    /// Waves that have not executed `s_endpgm`.
+    live_waves: usize,
     workgroups: Vec<Workgroup>,
     fus: FuPool,
     rr: usize,
@@ -343,13 +158,13 @@ pub struct ComputeUnit {
     /// limit spans the whole run, and clears when the run completes.
     run_start: Option<u64>,
     stats: CuStats,
+    /// Per-opcode issue counts (indexed like [`Opcode::ALL`]) and
+    /// per-unit busy cycles (indexed like [`FuncUnit::ALL`]) not yet
+    /// folded into `stats`; folded at every `run_until` return.
+    issued_ops: Box<[u64; Opcode::ALL.len()]>,
+    busy_cycles: [u64; FuncUnit::ALL.len()],
     /// Tracing state; `None` keeps the scheduler on its untraced fast path.
     trace: Option<Box<CuTrace>>,
-    /// Waves that issued this scheduling decision (the arbiter starts at
-    /// most one instruction per issue class per cycle, hence 4 slots).
-    /// Maintained only when `config.metrics` is on.
-    issued_now: [usize; 4],
-    issued_count: u8,
     /// Always-on stall aggregation, indexed by `StallReason as usize`;
     /// folded into [`CuStats::stall_cycles`] when a batch completes.
     stall_acc: [u64; StallReason::ALL.len()],
@@ -377,11 +192,6 @@ impl ComputeUnit {
     ///
     /// Fails if the kernel binary does not decode.
     pub fn new(config: CuConfig, kernel: &Kernel) -> Result<ComputeUnit, CuError> {
-        let insts = scratch_isa::Instruction::decode_all(kernel.words())?;
-        let mut program = vec![None; kernel.words().len()];
-        for (pos, inst) in insts {
-            program[pos] = Some(inst);
-        }
         Ok(ComputeUnit {
             fus: FuPool {
                 salu_busy: 0,
@@ -391,17 +201,20 @@ impl ComputeUnit {
             },
             config,
             meta: *kernel.meta(),
-            program,
+            program: decode_program(kernel)?,
+            descs: Vec::new(),
+            layout: Layout::new(kernel.meta()),
             waves: Vec::new(),
-            pending: Vec::new(),
+            scoreboards: Vec::new(),
+            live_waves: 0,
             workgroups: Vec::new(),
             rr: 0,
             now: 0,
             run_start: None,
             stats: CuStats::default(),
+            issued_ops: Box::new([0; Opcode::ALL.len()]),
+            busy_cycles: [0; FuncUnit::ALL.len()],
             trace: None,
-            issued_now: [0; 4],
-            issued_count: 0,
             stall_acc: [0; StallReason::ALL.len()],
             fault: None,
             pc_counts: Vec::new(),
@@ -510,12 +323,7 @@ impl ComputeUnit {
     /// * [`CuError::TooManyWavefronts`] beyond the fetch controller's limit;
     /// * register initialisers outside the kernel's budgets.
     pub fn start_wave(&mut self, init: WaveInit) -> Result<usize, CuError> {
-        let resident = self
-            .waves
-            .iter()
-            .filter(|w| w.state != WaveState::Done)
-            .count();
-        if resident >= usize::from(self.config.max_wavefronts) {
+        if self.live_waves >= usize::from(self.config.max_wavefronts) {
             return Err(CuError::TooManyWavefronts);
         }
         let idx = self.waves.len();
@@ -527,6 +335,7 @@ impl ComputeUnit {
         );
         wave.exec = init.exec;
         wave.next_ready = self.now;
+        wave.stalled_since = self.now;
         for &(r, v) in &init.sgprs {
             wave.set_sgpr(r, v)?;
         }
@@ -537,7 +346,8 @@ impl ComputeUnit {
         }
         self.workgroups[init.workgroup].waves.push(idx);
         self.waves.push(wave);
-        self.pending.push(HashMap::new());
+        self.scoreboards.push(Scoreboard::new(self.layout));
+        self.live_waves += 1;
         Ok(idx)
     }
 
@@ -545,7 +355,8 @@ impl ComputeUnit {
     /// Cycle count and statistics carry over.
     pub fn clear_waves(&mut self) {
         self.waves.clear();
-        self.pending.clear();
+        self.scoreboards.clear();
+        self.live_waves = 0;
         self.workgroups.clear();
         self.rr = 0;
         self.run_start = None;
@@ -559,13 +370,10 @@ impl ComputeUnit {
     ///
     /// Fails if the kernel binary does not decode.
     pub fn load_kernel(&mut self, kernel: &Kernel) -> Result<(), CuError> {
-        let insts = scratch_isa::Instruction::decode_all(kernel.words())?;
-        let mut program = vec![None; kernel.words().len()];
-        for (pos, inst) in insts {
-            program[pos] = Some(inst);
-        }
-        self.program = program;
+        self.program = decode_program(kernel)?;
+        self.descs.clear();
         self.meta = *kernel.meta();
+        self.layout = Layout::new(kernel.meta());
         self.pc_counts.clear();
         self.clear_waves();
         Ok(())
@@ -611,10 +419,21 @@ impl ComputeUnit {
     ///
     /// Same failures as [`ComputeUnit::run_to_completion`].
     pub fn run_until(&mut self, mem: &mut dyn Memory, budget: u64) -> Result<RunStatus, CuError> {
+        // First run since the program was loaded: decode its issue facts.
+        if self.descs.len() != self.program.len() {
+            let (config, layout) = (&self.config, self.layout);
+            self.descs = self
+                .program
+                .iter()
+                .map(|slot| {
+                    slot.as_ref()
+                        .map(|inst| IssueDesc::new(inst, config, layout))
+                })
+                .collect();
+        }
         let entry = self.now;
         let fresh = self.run_start.is_none();
         let start = *self.run_start.get_or_insert(entry);
-        let deadline = entry.saturating_add(budget);
         if fresh {
             if let Some(tr) = &mut self.trace {
                 tr.attr.begin_run(self.waves.len(), start);
@@ -631,28 +450,15 @@ impl ComputeUnit {
                 }
             }
         }
-        while self.waves.iter().any(|w| w.state != WaveState::Done) {
-            if self.now - start > self.config.cycle_limit {
-                return Err(CuError::CycleLimit {
-                    limit: self.config.cycle_limit,
-                });
+        let finished = self.issue_until(mem, start, entry.saturating_add(budget));
+        if self.config.metrics {
+            for wi in 0..self.waves.len() {
+                self.charge_stall(wi, self.now);
             }
-            if self.now >= deadline {
-                return Ok(RunStatus::Paused);
-            }
-            let t0 = self.now;
-            let t1 = if self.try_issue(mem)? {
-                t0 + 1
-            } else {
-                self.next_event().ok_or(CuError::Deadlock { cycle: t0 })?
-            };
-            if self.trace.is_some() {
-                self.attribute_interval(t0, t1);
-            }
-            if self.config.metrics {
-                self.account_stalls(t0, t1);
-            }
-            self.now = t1;
+        }
+        self.fold_issue_counters();
+        if !finished? {
+            return Ok(RunStatus::Paused);
         }
         if let Some(tr) = &mut self.trace {
             for wi in 0..self.waves.len() {
@@ -671,31 +477,81 @@ impl ComputeUnit {
         Ok(RunStatus::Done(self.now - start))
     }
 
-    /// The always-on counterpart of [`ComputeUnit::attribute_interval`]:
-    /// charge the decision interval `[t0, t1)` to a fixed per-reason
-    /// accumulator instead of per-wave timelines. Same reason priority,
-    /// no allocation, no event assembly — cheap enough to stay enabled
-    /// (`CuConfig::metrics`). Early-retired waves' idle slot cycles count
-    /// as [`StallReason::WavepoolEmpty`], matching the attribution
-    /// engine's batch-end accounting.
-    fn account_stalls(&mut self, t0: u64, t1: u64) {
-        let dt = t1 - t0;
-        let issued = &self.issued_now[..usize::from(self.issued_count)];
-        for (wi, w) in self.waves.iter().enumerate() {
-            if issued.contains(&wi) {
-                continue; // the issue cycle is not a stall
+    /// The scheduling loop: one decision per iteration until every wave
+    /// has retired (`true`) or the clock reaches `deadline` (`false`).
+    fn issue_until(
+        &mut self,
+        mem: &mut dyn Memory,
+        start: u64,
+        deadline: u64,
+    ) -> Result<bool, CuError> {
+        while self.live_waves > 0 {
+            if self.now - start > self.config.cycle_limit {
+                return Err(CuError::CycleLimit {
+                    limit: self.config.cycle_limit,
+                });
             }
-            let reason = if w.state == WaveState::Done {
-                StallReason::WavepoolEmpty
-            } else if w.state == WaveState::AtBarrier {
-                StallReason::Barrier
-            } else if w.next_ready > t0 {
-                w.wait_reason
+            if self.now >= deadline {
+                return Ok(false);
+            }
+            let t0 = self.now;
+            let t1 = if self.try_issue(mem)? {
+                t0 + 1
             } else {
-                StallReason::StructuralFu
+                self.next_event().ok_or(CuError::Deadlock { cycle: t0 })?
             };
-            self.stall_acc[reason as usize] += dt;
+            if self.trace.is_some() {
+                self.attribute_interval(t0, t1);
+            }
+            self.now = t1;
         }
+        Ok(true)
+    }
+
+    /// Fold the dense per-issue counters into [`CuStats`].
+    fn fold_issue_counters(&mut self) {
+        for (n, &op) in self.issued_ops.iter_mut().zip(Opcode::ALL) {
+            if *n > 0 {
+                *self.stats.histogram.entry(op).or_default() += std::mem::take(n);
+            }
+        }
+        for (n, unit) in self.busy_cycles.iter_mut().zip(FuncUnit::ALL) {
+            if *n > 0 {
+                *self.stats.fu_busy.entry(unit).or_default() += std::mem::take(n);
+            }
+        }
+    }
+
+    /// The always-on counterpart of [`ComputeUnit::attribute_interval`]:
+    /// charge wave `wi`'s cycles from `stalled_since` up to `to` to a
+    /// fixed per-reason accumulator, then restart its stretch at `to`.
+    /// The scheduler calls this just before it changes anything the reason
+    /// depends on, and for every wave when `run_until` returns, so each
+    /// stretch is charged under one state: the same per-decision reason
+    /// priority as the attribution engine, settled once per change instead
+    /// of once per wave per decision. A ready wave waits on `wait_reason`
+    /// until `next_ready` and has lost issue arbitration
+    /// ([`StallReason::StructuralFu`]) since; decision boundaries always
+    /// fall on `next_ready` (`next_event` stops there), so that split is
+    /// exact. Early-retired waves' idle slot cycles count as
+    /// [`StallReason::WavepoolEmpty`], matching the attribution engine's
+    /// batch-end accounting.
+    fn charge_stall(&mut self, wi: usize, to: u64) {
+        let w = &mut self.waves[wi];
+        let from = w.stalled_since;
+        if to <= from {
+            return;
+        }
+        match w.state {
+            WaveState::Done => self.stall_acc[StallReason::WavepoolEmpty as usize] += to - from,
+            WaveState::AtBarrier => self.stall_acc[StallReason::Barrier as usize] += to - from,
+            WaveState::Ready => {
+                let wait_end = w.next_ready.clamp(from, to);
+                self.stall_acc[w.wait_reason as usize] += wait_end - from;
+                self.stall_acc[StallReason::StructuralFu as usize] += to - wait_end;
+            }
+        }
+        w.stalled_since = to;
     }
 
     /// Charge the decision interval `[t0, t1)` to every live wavefront:
@@ -739,110 +595,94 @@ impl ComputeUnit {
         self.trace = Some(tr);
     }
 
-    fn inst_at(&self, pc: usize) -> Result<&Instruction, CuError> {
-        self.program
-            .get(pc)
-            .and_then(|slot| slot.as_ref())
-            .ok_or(CuError::PcOutOfRange { pc })
-    }
-
     /// Attempt to issue instructions this cycle. MIAOW's issue stage keeps
     /// one scoreboard per instruction class (branch & message, scalar,
     /// vector, LD/ST — Fig. 2) and its arbiter can start one instruction
     /// of each class per cycle, from different wavefronts. Returns `true`
     /// if anything issued.
+    ///
+    /// Each ready wave's next instruction is checked in a fixed order —
+    /// issue class, trimmed or missing hardware, `s_waitcnt`, scoreboard,
+    /// free unit instance — and a failed waitcnt or scoreboard check
+    /// records when and why the wave waits (stall attribution reads it).
     fn try_issue(&mut self, mem: &mut dyn Memory) -> Result<bool, CuError> {
-        let mut class_used = [false; 4]; // scalar, vector, lsu, branch
+        let mut class_used = [false; ISSUE_CLASSES];
         let mut issued_any = false;
         let n = self.waves.len();
         let rr_start = self.rr;
         if let Some(tr) = &mut self.trace {
             tr.issued_now.clear();
         }
-        self.issued_count = 0;
         // Structured events are only worth assembling with a sink attached.
         let emit = self.trace.as_ref().is_some_and(|tr| tr.sink.is_some());
+        let metrics = self.config.metrics;
         for i in 0..n {
-            if class_used.iter().all(|&u| u) {
+            if class_used == [true; ISSUE_CLASSES] {
                 break;
             }
             let wi = (rr_start + i) % n;
-            if self.waves[wi].state != WaveState::Ready || self.waves[wi].next_ready > self.now {
+            let w = &self.waves[wi];
+            if w.state != WaveState::Ready || w.next_ready > self.now {
                 continue;
             }
-            let pc = self.waves[wi].pc;
-            let inst = *self.inst_at(pc)?;
-            let op = inst.opcode;
-
-            // One instruction per issue class per cycle.
-            let class = match op.unit() {
-                FuncUnit::Salu => 0,
-                FuncUnit::Simd | FuncUnit::Simf => 1,
-                FuncUnit::Lsu => 2,
-                FuncUnit::Branch => 3,
-            };
+            let pc = w.pc;
+            let d = self
+                .descs
+                .get(pc)
+                .copied()
+                .flatten()
+                .ok_or(CuError::PcOutOfRange { pc })?;
+            let class = usize::from(d.class);
             if class_used[class] {
                 continue;
             }
-
-            // Trimmed-architecture enforcement (hard errors: the hardware
-            // for this instruction does not exist).
-            if let Some(trim) = &self.config.trim {
-                if !trim.contains(op) {
-                    return Err(CuError::Trimmed { opcode: op });
-                }
-            }
-            let unit = op.unit();
-            match unit {
-                FuncUnit::Simd if self.config.int_valus == 0 => {
-                    return Err(CuError::MissingUnit { unit, opcode: op })
-                }
-                FuncUnit::Simf if self.config.fp_valus == 0 => {
-                    return Err(CuError::MissingUnit { unit, opcode: op })
-                }
-                _ => {}
+            // Trimmed-architecture and missing-unit enforcement (hard
+            // errors: the hardware for this instruction does not exist).
+            if d.faults {
+                return Err(self
+                    .config
+                    .issue_error(d.opcode)
+                    .expect("descriptors flag exactly the ops issue_error rejects"));
             }
 
             // s_waitcnt blocks at issue until the counters drain.
-            if op == Opcode::SWaitcnt {
-                let Fields::Sopp { simm16 } = inst.fields else {
-                    unreachable!()
-                };
-                let vm_target = u32::from(simm16 & 0xf);
-                let lgkm_target = u32::from((simm16 >> 8) & 0x1f);
+            if let Some((vm_target, lgkm_target)) = d.waitcnt {
                 let ready = self.waves[wi].waitcnt_ready_at(vm_target, lgkm_target);
                 if ready > self.now {
-                    if self.trace.is_some() || self.config.metrics {
+                    if metrics {
+                        self.charge_stall(wi, self.now);
+                    }
+                    let w = &mut self.waves[wi];
+                    if self.trace.is_some() || metrics {
                         // Which counter gates the wait? Query each alone
                         // (the other target relaxed to "any") and blame
                         // the one that matches the combined ready time.
-                        let vm_ready = self.waves[wi].waitcnt_ready_at(vm_target, u32::MAX);
-                        self.waves[wi].wait_reason = if vm_ready >= ready {
+                        let vm_ready = w.waitcnt_ready_at(vm_target, u32::MAX);
+                        w.wait_reason = if vm_ready >= ready {
                             StallReason::WaitcntVm
                         } else {
                             StallReason::WaitcntLgkm
                         };
                     }
-                    self.waves[wi].next_ready = ready;
+                    w.next_ready = ready;
                     continue;
                 }
             }
 
             // Scoreboard: stall on pending writes to our sources.
-            let mut dep_ready = 0u64;
-            for key in source_keys(&inst) {
-                if let Some(&t) = self.pending[wi].get(&key) {
-                    dep_ready = dep_ready.max(t);
-                }
-            }
+            let dep_ready = self.scoreboards[wi].ready_at(d.sources.as_slice());
             if dep_ready > self.now {
-                self.waves[wi].next_ready = dep_ready;
-                self.waves[wi].wait_reason = StallReason::ScoreboardRaw;
+                if metrics {
+                    self.charge_stall(wi, self.now);
+                }
+                let w = &mut self.waves[wi];
+                w.next_ready = dep_ready;
+                w.wait_reason = StallReason::ScoreboardRaw;
                 continue;
             }
 
             // Structural hazard: need a free unit instance.
-            let is_vector = op.is_vector_alu();
+            let unit = d.unit;
             let slot: Option<usize> = match unit {
                 FuncUnit::Salu => (self.fus.salu_busy <= self.now).then_some(0),
                 FuncUnit::Lsu => (self.fus.lsu_busy <= self.now).then_some(0),
@@ -859,21 +699,13 @@ impl ComputeUnit {
             if let Some(tr) = &mut self.trace {
                 tr.issued_now.push(wi);
             }
-            if self.config.metrics {
-                self.issued_now[usize::from(self.issued_count)] = wi;
-                self.issued_count += 1;
+            if metrics {
+                // The issue cycle is not a stall.
+                self.charge_stall(wi, self.now);
+                self.waves[wi].stalled_since = self.now + 1;
             }
-            let beats = self.config.vector_beats();
-            // SIMD datapaths are pipelined (one beat per cycle); the SIMF
-            // maps to iterative FP cores on the FPGA, so a floating-point
-            // instruction occupies its unit for the full operation latency
-            // — which is why replicating SIMF units pays off so well in the
-            // paper's multi-thread experiments (Fig. 7B).
-            let occupancy = match unit {
-                FuncUnit::Simd => beats,
-                FuncUnit::Simf => beats + self.config.latencies.of(op),
-                _ => 1,
-            };
+            let op = d.opcode;
+            let occupancy = d.occupancy;
             match unit {
                 FuncUnit::Salu => self.fus.salu_busy = self.now + 1,
                 FuncUnit::Lsu => self.fus.lsu_busy = self.now + 1,
@@ -881,15 +713,19 @@ impl ComputeUnit {
                 FuncUnit::Simd => self.fus.simd_busy[slot] = self.now + occupancy,
                 FuncUnit::Simf => self.fus.simf_busy[slot] = self.now + occupancy,
             }
-            self.stats.record_busy(unit, occupancy);
+            self.busy_cycles[unit as usize] += occupancy;
 
-            let next_pc = pc + inst.size_words();
+            let inst = self.program[pc].expect("issue descriptors exist only for decoded words");
+            let decode = u64::from(d.words);
+            let next_pc = pc + usize::from(d.words);
             let lds_ptr = self.waves[wi].workgroup;
             let wave = &mut self.waves[wi];
             let lanes = wave.active_lanes();
             let outcome = execute(&inst, next_pc, wave, &mut self.workgroups[lds_ptr].lds, mem)?;
             wave.retired += 1;
-            self.stats.record_issue(op, lanes);
+            self.stats.instructions += 1;
+            self.stats.work_item_ops += if d.per_lane { u64::from(lanes) } else { 1 };
+            self.issued_ops[op as usize] += 1;
             if self.config.profile {
                 if self.pc_counts.len() <= pc {
                     self.pc_counts.resize(pc + 1, 0);
@@ -898,15 +734,10 @@ impl ComputeUnit {
             }
 
             // Result latency for the scoreboard.
-            let latency = self.config.latencies.of(op) + if is_vector { beats - 1 } else { 0 };
-            let done_at = self.now + latency.max(1);
-            self.pending[wi].retain(|_, &mut t| t > self.now);
-            for key in dest_keys(&inst) {
-                self.pending[wi].insert(key, done_at);
-            }
+            let done_at = self.now + d.latency;
+            self.scoreboards[wi].issue(self.now, d.dests.as_slice(), done_at);
 
             // Fetch/decode cost for the following instruction.
-            let decode = inst.size_words() as u64;
             self.waves[wi].next_ready = self.now + decode.max(1);
             self.waves[wi].wait_reason = StallReason::FetchStarve;
 
@@ -1023,6 +854,7 @@ impl ComputeUnit {
             // Control flow.
             if outcome.end {
                 self.waves[wi].state = WaveState::Done;
+                self.live_waves -= 1;
                 self.stats.wavefronts_retired += 1;
                 if emit {
                     let instructions = self.waves[wi].retired;
@@ -1061,8 +893,12 @@ impl ComputeUnit {
                 if self.workgroups[wg].arrived == self.workgroups[wg].waves.len() {
                     self.workgroups[wg].arrived = 0;
                     let release = self.now + 1;
-                    for &widx in &self.workgroups[wg].waves.clone() {
+                    for j in 0..self.workgroups[wg].waves.len() {
+                        let widx = self.workgroups[wg].waves[j];
                         if self.waves[widx].state == WaveState::AtBarrier {
+                            if metrics {
+                                self.charge_stall(widx, self.now);
+                            }
                             self.waves[widx].state = WaveState::Ready;
                             if release > self.waves[widx].next_ready {
                                 self.waves[widx].next_ready = release;
@@ -1104,7 +940,7 @@ impl ComputeUnit {
             for &t in &w.lgkm_events {
                 consider(t);
             }
-            for &t in self.pending[wi].values() {
+            for t in self.scoreboards[wi].times() {
                 consider(t);
             }
         }
@@ -1129,33 +965,28 @@ impl ComputeUnit {
         let waves = self
             .waves
             .iter()
-            .zip(&self.pending)
-            .map(|(w, pend)| {
-                let mut pending: Vec<(u32, u64)> =
-                    pend.iter().map(|(&k, &t)| (k.code(), t)).collect();
-                pending.sort_unstable();
-                WaveSnapshot {
-                    id: w.id as u64,
-                    workgroup: w.workgroup as u64,
-                    pc: w.pc as u64,
-                    exec: w.exec,
-                    vcc: w.vcc,
-                    scc: w.scc,
-                    m0: w.m0,
-                    sgprs: w.sgprs_raw().to_vec(),
-                    vgprs: w.vgprs_raw().iter().map(|row| row.to_vec()).collect(),
-                    next_ready: w.next_ready,
-                    wait_reason: stall_code(w.wait_reason),
-                    vm_events: w.vm_events.clone(),
-                    lgkm_events: w.lgkm_events.clone(),
-                    state: match w.state {
-                        WaveState::Ready => 0,
-                        WaveState::AtBarrier => 1,
-                        WaveState::Done => 2,
-                    },
-                    retired: w.retired,
-                    pending,
-                }
+            .zip(&self.scoreboards)
+            .map(|(w, sb)| WaveSnapshot {
+                id: w.id as u64,
+                workgroup: w.workgroup as u64,
+                pc: w.pc as u64,
+                exec: w.exec,
+                vcc: w.vcc,
+                scc: w.scc,
+                m0: w.m0,
+                sgprs: w.sgprs_raw().to_vec(),
+                vgprs: w.vgprs_raw().iter().map(|row| row.to_vec()).collect(),
+                next_ready: w.next_ready,
+                wait_reason: stall_code(w.wait_reason),
+                vm_events: w.vm_events.clone(),
+                lgkm_events: w.lgkm_events.clone(),
+                state: match w.state {
+                    WaveState::Ready => 0,
+                    WaveState::AtBarrier => 1,
+                    WaveState::Done => 2,
+                },
+                retired: w.retired,
+                pending: sb.entries(self.layout),
             })
             .collect();
         CuSnapshot {
@@ -1270,16 +1101,27 @@ impl ComputeUnit {
                 _ => return Err(bad("unknown wave state")),
             };
             w.retired = ws.retired;
-            let mut pending = HashMap::with_capacity(ws.pending.len());
-            for &(code, t) in &ws.pending {
-                let key = RegKey::from_code(code).ok_or_else(|| bad("unknown register key"))?;
-                pending.insert(key, t);
+            w.stalled_since = cu.now;
+            if w.state != WaveState::Done {
+                cu.live_waves += 1;
             }
+            let sb = Scoreboard::from_entries(cu.layout, &ws.pending)
+                .ok_or_else(|| bad("unknown register key"))?;
             cu.waves.push(w);
-            cu.pending.push(pending);
+            cu.scoreboards.push(sb);
         }
         Ok(cu)
     }
+}
+
+/// Decode `kernel` into a word-indexed program (`None` at words inside a
+/// multi-word encoding).
+fn decode_program(kernel: &Kernel) -> Result<Vec<Option<Instruction>>, CuError> {
+    let mut program = vec![None; kernel.words().len()];
+    for (pos, inst) in Instruction::decode_all(kernel.words())? {
+        program[pos] = Some(inst);
+    }
+    Ok(program)
 }
 
 /// Stable snapshot code for a stall reason (its index in
@@ -1580,6 +1422,57 @@ mod tests {
         assert_eq!(cu.wave(w).sgpr(1).unwrap(), 10);
         assert_eq!(cu.wave(w).sgpr(0).unwrap(), 0);
         assert_eq!(cu.stats().branches_taken, 9);
+    }
+
+    /// A vector write with every lane off names a register past the
+    /// kernel's VGPR budget without faulting. Its scoreboard entry (kept in
+    /// the wave's spill list) still delays the next reader exactly as an
+    /// in-budget register's would, and survives a snapshot round trip.
+    #[test]
+    fn registers_past_the_budget_keep_their_scoreboard_entries() {
+        let chain = |reg: u8| {
+            let mut b = KernelBuilder::new("masked");
+            b.vgprs(4).sgprs(8);
+            b.vop3a(
+                Opcode::VMulLoI32,
+                reg,
+                Operand::Vgpr(0),
+                Operand::IntConst(3),
+                None,
+            )
+            .unwrap();
+            b.vop2(Opcode::VAddI32, 1, Operand::IntConst(1), reg)
+                .unwrap();
+            b.endpgm().unwrap();
+            b.finish().unwrap()
+        };
+        let start = |kernel: &Kernel| {
+            let mut cu = ComputeUnit::new(CuConfig::default(), kernel).unwrap();
+            let wg = cu.add_workgroup();
+            cu.start_wave(WaveInit {
+                workgroup: wg,
+                exec: 0,
+                sgprs: vec![],
+                vgprs: vec![],
+            })
+            .unwrap();
+            cu
+        };
+        let mut mem = FixedLatencyMemory::new(0, 0);
+        let mut reference = start(&chain(2));
+        let inside = reference.run_to_completion(&mut mem).unwrap();
+        assert!(reference.stats().stall_cycles[&StallReason::ScoreboardRaw] > 0);
+
+        let past = chain(200);
+        let mut cu = start(&past);
+        assert_eq!(cu.run_until(&mut mem, 1).unwrap(), RunStatus::Paused);
+        let snap = cu.snapshot();
+        assert_eq!(snap.waves[0].pending.len(), 1);
+        assert_eq!(snap.waves[0].pending[0].0, 0x100 + 200);
+        let mut cu = ComputeUnit::restore(CuConfig::default(), &past, &snap).unwrap();
+        let cycles = cu.run_to_completion(&mut mem).unwrap();
+        assert_eq!(cycles, inside);
+        assert_eq!(cu.stats().stall_cycles, reference.stats().stall_cycles);
     }
 
     #[test]

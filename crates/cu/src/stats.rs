@@ -53,7 +53,8 @@ impl CuStats {
     /// Record the issue of `opcode` with `lanes` active lanes.
     ///
     /// Exposed so analyses can build synthetic statistics; the compute unit
-    /// calls this internally for every issued instruction.
+    /// counts the same quantities in dense per-opcode arrays while it runs
+    /// and folds them in whenever `run_until` returns.
     pub fn record_issue(&mut self, opcode: Opcode, lanes: u32) {
         self.instructions += 1;
         *self.histogram.entry(opcode).or_default() += 1;
@@ -62,11 +63,6 @@ impl CuStats {
         } else {
             1
         };
-    }
-
-    /// Record `cycles` of busy time on `unit`.
-    pub(crate) fn record_busy(&mut self, unit: FuncUnit, cycles: u64) {
-        *self.fu_busy.entry(unit).or_default() += cycles;
     }
 
     /// Merge another stats block into this one (used when aggregating CUs).
@@ -180,21 +176,21 @@ mod tests {
         let mut a = CuStats::default();
         a.record_issue(Opcode::VAddI32, 64);
         a.record_issue(Opcode::SAddU32, 64);
-        a.record_busy(FuncUnit::Simd, 4);
+        a.fu_busy.insert(FuncUnit::Simd, 4);
         a.cycles = 120;
         a.branches_taken = 3;
         a.stall_cycles.insert(StallReason::FetchStarve, 10);
         let mut b = CuStats::default();
         b.record_issue(Opcode::VAddI32, 32);
-        b.record_busy(FuncUnit::Simd, 8);
-        b.record_busy(FuncUnit::Salu, 1);
+        b.fu_busy.insert(FuncUnit::Simd, 8);
+        b.fu_busy.insert(FuncUnit::Salu, 1);
         b.cycles = 90;
         b.vector_mem_ops = 7;
         b.stall_cycles.insert(StallReason::FetchStarve, 5);
         b.stall_cycles.insert(StallReason::Barrier, 2);
         let mut c = CuStats::default();
         c.record_issue(Opcode::VMulF32, 16);
-        c.record_busy(FuncUnit::Simf, 40);
+        c.fu_busy.insert(FuncUnit::Simf, 40);
         c.cycles = 200;
         c.wavefronts_retired = 5;
 

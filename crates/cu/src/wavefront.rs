@@ -43,6 +43,11 @@ pub struct Wavefront {
     /// pipeline stage last pushed `next_ready` forward; read by the
     /// stall-attribution engine when tracing is enabled).
     pub(crate) wait_reason: StallReason,
+    /// Start of the stretch of cycles not yet charged to the CU's
+    /// per-reason stall counters (maintained when `CuConfig::metrics` is
+    /// on; not part of a snapshot, which is taken with every wave charged
+    /// up to the current cycle).
+    pub(crate) stalled_since: u64,
     /// Outstanding vector-memory completion times (vmcnt).
     pub(crate) vm_events: Vec<u64>,
     /// Outstanding LDS/scalar-memory completion times (lgkmcnt).
@@ -69,6 +74,7 @@ impl Wavefront {
             vgprs: vec![[0; WAVEFRONT_SIZE]; vgprs],
             next_ready: 0,
             wait_reason: StallReason::FetchStarve,
+            stalled_since: 0,
             vm_events: Vec::new(),
             lgkm_events: Vec::new(),
             state: WaveState::Ready,
@@ -329,13 +335,23 @@ impl Wavefront {
     pub(crate) fn waitcnt_ready_at(&self, vm_target: u32, lgkm_target: u32) -> u64 {
         fn nth_newest_completion(events: &[u64], keep: u32) -> u64 {
             // The counter drops to `keep` once all but `keep` of the events
-            // have completed.
-            if events.len() <= keep as usize {
+            // have completed: at the (keep + 1)-th latest completion, the
+            // one with at most `keep` events completing after it and more
+            // than `keep` completing no earlier. The lists are a few
+            // entries long, so counting beats sorting a copy.
+            let keep = keep as usize;
+            if events.len() <= keep {
                 return 0;
             }
-            let mut sorted: Vec<u64> = events.to_vec();
-            sorted.sort_unstable();
-            sorted[events.len() - keep as usize - 1]
+            events
+                .iter()
+                .copied()
+                .find(|&t| {
+                    let later = events.iter().filter(|&&e| e > t).count();
+                    let same = events.iter().filter(|&&e| e == t).count();
+                    later <= keep && keep < later + same
+                })
+                .expect("a list longer than `keep` has a (keep + 1)-th latest entry")
         }
         nth_newest_completion(&self.vm_events, vm_target)
             .max(nth_newest_completion(&self.lgkm_events, lgkm_target))
@@ -425,6 +441,12 @@ mod tests {
         assert_eq!(w.waitcnt_ready_at(0, 0), 300);
         assert_eq!(w.waitcnt_ready_at(2, 0), 100);
         assert_eq!(w.waitcnt_ready_at(3, 0), 0);
+        // Completion times repeat and arrive out of order.
+        w.lgkm_events = vec![40, 10, 40, 30, 10];
+        for (keep, want) in [(0, 40), (1, 40), (2, 30), (3, 10), (4, 10), (5, 0)] {
+            assert_eq!(w.waitcnt_ready_at(u32::MAX, keep), want, "keep {keep}");
+        }
+        w.lgkm_events.clear();
         w.retire_mem_events(250);
         assert_eq!(w.vm_events, vec![300]);
     }

@@ -177,23 +177,6 @@ impl std::fmt::Debug for Program {
     }
 }
 
-/// Issue-time enforcement the pipeline performs before executing any
-/// instruction, in the same order: trimmed-architecture check first, then
-/// functional-unit availability.
-fn issue_error(op: Opcode, config: &CuConfig) -> Option<CuError> {
-    if let Some(trim) = &config.trim {
-        if !trim.contains(op) {
-            return Some(CuError::Trimmed { opcode: op });
-        }
-    }
-    let unit = op.unit();
-    match unit {
-        FuncUnit::Simd if config.int_valus == 0 => Some(CuError::MissingUnit { unit, opcode: op }),
-        FuncUnit::Simf if config.fp_valus == 0 => Some(CuError::MissingUnit { unit, opcode: op }),
-        _ => None,
-    }
-}
-
 fn is_terminator(op: Opcode) -> bool {
     use Opcode::*;
     matches!(
@@ -273,7 +256,7 @@ fn compare_closure(op: Opcode, v: VecOps) -> OpFn {
 /// Compile one non-terminator instruction.
 fn body_op(inst: Instruction, next_pc: usize, config: &CuConfig) -> Op {
     let op = inst.opcode;
-    if let Some(e) = issue_error(op, config) {
+    if let Some(e) = config.issue_error(op) {
         return Op {
             run: Box::new(move |_, _, _| Err(e.clone())),
             compiled: true,
@@ -397,7 +380,7 @@ pub fn translate(kernel: &Kernel, config: &CuConfig) -> Result<Program, CuError>
             let (_, inst) = decoded[i];
             let next = pc + inst.size_words();
             if is_terminator(inst.opcode) {
-                let err = issue_error(inst.opcode, config);
+                let err = config.issue_error(inst.opcode);
                 let Fields::Sopp { simm16 } = inst.fields else {
                     unreachable!("terminators are SOPP-encoded")
                 };

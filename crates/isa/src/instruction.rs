@@ -369,43 +369,37 @@ impl Instruction {
 
     /// The explicit source operands, in encoding order.
     #[must_use]
-    pub fn source_operands(&self) -> Vec<Operand> {
+    pub fn source_operands(&self) -> Sources {
         match self.fields {
             Fields::Sop2 { ssrc0, ssrc1, .. } | Fields::Sopc { ssrc0, ssrc1 } => {
-                vec![ssrc0, ssrc1]
+                Sources::of(&[ssrc0, ssrc1])
             }
-            Fields::Sop1 { ssrc0, .. } => vec![ssrc0],
-            Fields::Sopk { .. } | Fields::Sopp { .. } => vec![],
-            Fields::Smrd { sbase, offset, .. } => {
-                let mut v = vec![Operand::Sgpr(sbase)];
-                if let SmrdOffset::Sgpr(s) = offset {
-                    v.push(Operand::Sgpr(s));
-                }
-                v
-            }
+            Fields::Sop1 { ssrc0, .. } => Sources::of(&[ssrc0]),
+            Fields::Sopk { .. } | Fields::Sopp { .. } => Sources::of(&[]),
+            Fields::Smrd { sbase, offset, .. } => match offset {
+                SmrdOffset::Sgpr(s) => Sources::of(&[Operand::Sgpr(sbase), Operand::Sgpr(s)]),
+                SmrdOffset::Imm(_) => Sources::of(&[Operand::Sgpr(sbase)]),
+            },
             Fields::Vop2 { src0, vsrc1, .. } | Fields::Vopc { src0, vsrc1 } => {
-                vec![src0, Operand::Vgpr(vsrc1)]
+                Sources::of(&[src0, Operand::Vgpr(vsrc1)])
             }
-            Fields::Vop1 { src0, .. } => vec![src0],
+            Fields::Vop1 { src0, .. } => Sources::of(&[src0]),
             Fields::Vop3a {
                 src0, src1, src2, ..
             }
             | Fields::Vop3b {
                 src0, src1, src2, ..
-            } => {
-                let mut v = vec![src0, src1];
-                if let Some(s) = src2 {
-                    v.push(s);
-                }
-                v
-            }
+            } => match src2 {
+                Some(s) => Sources::of(&[src0, src1, s]),
+                None => Sources::of(&[src0, src1]),
+            },
             Fields::Ds {
                 addr, data0, data1, ..
-            } => vec![
+            } => Sources::of(&[
                 Operand::Vgpr(addr),
                 Operand::Vgpr(data0),
                 Operand::Vgpr(data1),
-            ],
+            ]),
             Fields::Mubuf {
                 vaddr,
                 srsrc,
@@ -417,7 +411,7 @@ impl Instruction {
                 srsrc,
                 soffset,
                 ..
-            } => vec![Operand::Vgpr(vaddr), Operand::Sgpr(srsrc), soffset],
+            } => Sources::of(&[Operand::Vgpr(vaddr), Operand::Sgpr(srsrc), soffset]),
         }
     }
 
@@ -916,6 +910,45 @@ fn patch_literal(fields: &mut Fields, value: u32) {
             patch(src0)
         }
         _ => {}
+    }
+}
+
+/// The explicit source operands of one instruction, held inline (at most
+/// three); see [`Instruction::source_operands`].
+#[derive(Debug, Clone, Copy)]
+pub struct Sources {
+    ops: [Operand; 3],
+    len: u8,
+}
+
+impl Sources {
+    /// # Panics
+    ///
+    /// On more than three operands, which no encoding has.
+    fn of(list: &[Operand]) -> Sources {
+        let mut ops = [Operand::IntConst(0); 3];
+        ops[..list.len()].copy_from_slice(list);
+        Sources {
+            ops,
+            len: list.len() as u8,
+        }
+    }
+}
+
+impl std::ops::Deref for Sources {
+    type Target = [Operand];
+
+    fn deref(&self) -> &[Operand] {
+        &self.ops[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Sources {
+    type Item = Operand;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Operand, 3>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.ops.into_iter().take(usize::from(self.len))
     }
 }
 

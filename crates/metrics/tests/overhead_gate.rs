@@ -4,8 +4,16 @@
 //!
 //! `#[ignore]`d by default — wall-clock assertions do not belong in the
 //! default test run. The `metrics-overhead` CI job executes it with
-//! `cargo test -p scratch-metrics --release -- --ignored overhead`.
+//! `cargo test -p scratch-metrics --release --test overhead_gate --
+//! --ignored --nocapture --test-threads=1` (one gate at a time, so the two
+//! gates do not time each other's load).
+//!
+//! Each gate runs the instrumented and the bare configuration back to back,
+//! alternating which goes first, and gates on the median of the per-pair
+//! wall-time ratios: a host that speeds up or slows down over the run then
+//! moves both sides of every pair alike instead of one whole series.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use scratch_asm::KernelBuilder;
@@ -43,38 +51,49 @@ fn run_once(kernel: &scratch_asm::Kernel, metrics: bool) -> u64 {
     sys.report().cu_cycles
 }
 
-/// Median wall time of `reps` runs, in nanoseconds.
-fn median_nanos(kernel: &scratch_asm::Kernel, metrics: bool, reps: usize) -> u128 {
-    let mut times: Vec<u128> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(run_once(kernel, metrics));
-            t.elapsed().as_nanos()
+/// On/off pairs per gate.
+const PAIRS: usize = 301;
+
+/// Median, over [`PAIRS`] back-to-back pairs, of the wall-time ratio of
+/// `run(true)` to `run(false)`. Even pairs run the instrumented side
+/// first, odd pairs the bare side.
+fn median_ratio(mut run: impl FnMut(bool) -> u64) -> f64 {
+    // Warm up allocators and caches on both paths.
+    run(true);
+    run(false);
+    let mut time = |on: bool| {
+        let t = Instant::now();
+        black_box(run(on));
+        t.elapsed().as_nanos() as f64
+    };
+    let mut ratios: Vec<f64> = (0..PAIRS)
+        .map(|i| {
+            let (on, off) = if i % 2 == 0 {
+                let on = time(true);
+                (on, time(false))
+            } else {
+                let off = time(false);
+                (time(true), off)
+            };
+            on / off
         })
         .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
+    ratios.sort_by(f64::total_cmp);
+    ratios[PAIRS / 2]
 }
 
 #[test]
 #[ignore = "wall-clock gate; run by the metrics-overhead CI job"]
 fn overhead_stays_under_the_gate() {
     let kernel = alu_kernel();
-    // Warm up allocators and caches on both paths.
-    run_once(&kernel, true);
-    run_once(&kernel, false);
-
-    let reps = 15;
-    let on = median_nanos(&kernel, true, reps);
-    let off = median_nanos(&kernel, false, reps);
-    let overhead = on as f64 / off as f64 - 1.0;
+    let overhead = median_ratio(|on| run_once(&kernel, on)) - 1.0;
     println!(
-        "metrics on {on} ns, off {off} ns, overhead {:.2}%",
+        "metrics overhead {:.2}% (median of {PAIRS} on/off pairs)",
         overhead * 100.0
     );
     assert!(
         overhead < 0.05,
-        "metrics overhead {:.2}% exceeds the 5% gate (on {on} ns vs off {off} ns)",
+        "metrics overhead {:.2}% exceeds the 5% gate",
         overhead * 100.0
     );
 }
@@ -96,19 +115,6 @@ fn run_once_profiled(kernel: &scratch_asm::Kernel, profile: bool) -> u64 {
     sys.report().cu_cycles
 }
 
-/// Median wall time of `reps` profiled/unprofiled runs, in nanoseconds.
-fn median_nanos_profiled(kernel: &scratch_asm::Kernel, profile: bool, reps: usize) -> u128 {
-    let mut times: Vec<u128> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(run_once_profiled(kernel, profile));
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
 /// The same gate for the execution profiler (per-PC retire counters):
 /// within 5% wall-clock of an unprofiled run, and — checked always, not
 /// just in the gate job — bit-identical simulated cycles either way.
@@ -116,20 +122,14 @@ fn median_nanos_profiled(kernel: &scratch_asm::Kernel, profile: bool, reps: usiz
 #[ignore = "wall-clock gate; run by the metrics-overhead CI job"]
 fn profiling_overhead_stays_under_the_gate() {
     let kernel = alu_kernel();
-    run_once_profiled(&kernel, true);
-    run_once_profiled(&kernel, false);
-
-    let reps = 15;
-    let on = median_nanos_profiled(&kernel, true, reps);
-    let off = median_nanos_profiled(&kernel, false, reps);
-    let overhead = on as f64 / off as f64 - 1.0;
+    let overhead = median_ratio(|on| run_once_profiled(&kernel, on)) - 1.0;
     println!(
-        "profiler on {on} ns, off {off} ns, overhead {:.2}%",
+        "profiler overhead {:.2}% (median of {PAIRS} on/off pairs)",
         overhead * 100.0
     );
     assert!(
         overhead < 0.05,
-        "profiler overhead {:.2}% exceeds the 5% gate (on {on} ns vs off {off} ns)",
+        "profiler overhead {:.2}% exceeds the 5% gate",
         overhead * 100.0
     );
 }

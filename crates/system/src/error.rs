@@ -103,6 +103,26 @@ pub enum ImageFault {
         /// Bytes it carries.
         bytes: u64,
     },
+    /// A suspended epoch view's page carries fewer bytes than its page of
+    /// the memory holds.
+    PageTooShort {
+        /// The page's index.
+        index: u64,
+        /// Bytes it carries.
+        bytes: u64,
+        /// Bytes its page holds.
+        page: u64,
+    },
+    /// A suspended epoch view's page has a written-byte mask that is not
+    /// one bit per byte of its data (wrong length, or bits past the data).
+    WrittenMaskMismatch {
+        /// The page's index.
+        index: u64,
+        /// 64-bit words in the mask.
+        words: u64,
+        /// Bytes of data the mask covers.
+        bytes: u64,
+    },
 }
 
 impl fmt::Display for ImageFault {
@@ -126,6 +146,18 @@ impl fmt::Display for ImageFault {
                 f,
                 "page {index} carries {bytes} bytes, more than a {}-byte page",
                 scratch_snap::IMAGE_PAGE
+            ),
+            ImageFault::PageTooShort { index, bytes, page } => write!(
+                f,
+                "page {index} carries {bytes} bytes of its {page}-byte page"
+            ),
+            ImageFault::WrittenMaskMismatch {
+                index,
+                words,
+                bytes,
+            } => write!(
+                f,
+                "page {index}'s {words}-word written mask does not cover its {bytes} bytes bit for bit"
             ),
         }
     }

@@ -537,7 +537,7 @@ impl<'a> EpochMemory<'a> {
 /// when its shard has finished and only the commit remains.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EpochState {
-    pages: Vec<EpochPageState>,
+    pub(crate) pages: Vec<EpochPageState>,
     server_free: u64,
     global_accesses: u64,
     prefetch_hits: u64,
@@ -546,13 +546,69 @@ pub struct EpochState {
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct EpochPageState {
-    index: u64,
-    data: Vec<u8>,
-    written: Vec<u64>,
+pub(crate) struct EpochPageState {
+    pub(crate) index: u64,
+    pub(crate) data: Vec<u8>,
+    pub(crate) written: Vec<u64>,
 }
 
 impl EpochState {
+    /// Check that this view can resume over a memory of `len` bytes: its
+    /// pages lie inside the memory in strictly ascending index order, each
+    /// holds exactly its page's bytes, and each written mask has one bit
+    /// per byte and none past them — the shape [`EpochMemory::suspend`]
+    /// produces. A view that passes cannot index outside the memory or
+    /// its own pages when it resumes and commits.
+    ///
+    /// # Errors
+    ///
+    /// The first page that breaks one of those rules, as an [`ImageFault`].
+    pub(crate) fn check(&self, len: u64) -> Result<(), ImageFault> {
+        const PAGE: u64 = EPOCH_PAGE as u64;
+        let mut previous: Option<u64> = None;
+        for p in &self.pages {
+            let index = p.index;
+            let bytes = p.data.len() as u64;
+            let words = p.written.len() as u64;
+            // Bytes of this page inside the memory (`None` past its end).
+            let page = index
+                .checked_mul(PAGE)
+                .filter(|&start| start < len)
+                .map(|start| (len - start).min(PAGE));
+            let stray_bits = p
+                .written
+                .last()
+                .is_some_and(|&w| !bytes.is_multiple_of(64) && w >> (bytes % 64) != 0);
+            let fault = match (previous, page) {
+                (Some(previous), _) if index == previous => {
+                    Some(ImageFault::PageRepeated { index })
+                }
+                (Some(previous), _) if index < previous => {
+                    Some(ImageFault::PageOutOfOrder { index, previous })
+                }
+                _ if bytes > PAGE => Some(ImageFault::PageTooLong { index, bytes }),
+                (_, None) => Some(ImageFault::PageOutOfRange { index, len }),
+                (_, Some(page)) if bytes > page => Some(ImageFault::PageOutOfRange { index, len }),
+                (_, Some(page)) if bytes < page => {
+                    Some(ImageFault::PageTooShort { index, bytes, page })
+                }
+                _ if words != bytes.div_ceil(64) || stray_bits => {
+                    Some(ImageFault::WrittenMaskMismatch {
+                        index,
+                        words,
+                        bytes,
+                    })
+                }
+                _ => None,
+            };
+            if let Some(fault) = fault {
+                return Err(fault);
+            }
+            previous = Some(index);
+        }
+        Ok(())
+    }
+
     /// Convert into the delta form [`SharedMemory::commit`] applies.
     #[must_use]
     pub fn into_delta(self) -> EpochDelta {
@@ -1006,6 +1062,26 @@ mod tests {
         m.commit(db);
         assert_eq!(m.global_accesses(), 3);
         assert_eq!(m.server_free, fa.max(fb));
+    }
+
+    #[test]
+    fn epoch_view_check_rejects_mask_bits_past_a_partial_page() {
+        // 4096 + 100 bytes: page 1 holds 100 bytes, its mask two words.
+        let mut m = SharedMemory::new(EPOCH_PAGE + 100, MemTiming::dcd_pm());
+        m.write_words(0, &[1]);
+        let mut view = m.epoch();
+        view.write_u32(EPOCH_PAGE as u64 + 96, 7);
+        let mut state = view.suspend();
+        assert_eq!(state.check(m.len() as u64), Ok(()));
+        state.pages[0].written[1] |= 1 << 40; // byte 104 of 100
+        assert_eq!(
+            state.check(m.len() as u64),
+            Err(ImageFault::WrittenMaskMismatch {
+                index: 1,
+                words: 2,
+                bytes: 100
+            })
+        );
     }
 
     #[test]

@@ -1273,8 +1273,9 @@ impl System {
     /// snapshot does not validate against the configuration and kernel it
     /// claims ([`SystemError::Preemption`], [`SystemError::Cu`]), and —
     /// before any memory is allocated — when its memory is larger than
-    /// [`MAX_MEMORY_BYTES`] ([`SystemError::MemoryTooLarge`]) or its image
-    /// does not describe that memory ([`SystemError::MalformedImage`]).
+    /// [`MAX_MEMORY_BYTES`] ([`SystemError::MemoryTooLarge`]), or its image
+    /// or a paused CU's suspended epoch view does not describe that memory
+    /// ([`SystemError::MalformedImage`]).
     pub fn restore(
         ck: &SystemCheckpoint,
         registry: Option<Registry>,
@@ -1307,6 +1308,10 @@ impl System {
                 memory_bytes: ck.memory_bytes,
                 image_len: ck.memory.image.len,
             }));
+        }
+        for view in ck.paused.epochs.iter().flatten() {
+            view.check(ck.memory_bytes)
+                .map_err(SystemError::MalformedImage)?;
         }
         let mem = SharedMemory::restore_state(&ck.memory)?;
         let mut config = SystemConfig::preset(ck.kind);
@@ -2713,6 +2718,132 @@ mod tests {
         assert_eq!(
             restore_fault(&ck),
             ImageFault::PageTooLong { index, bytes: 4097 }
+        );
+    }
+
+    /// A paused `add_one` dispatch's checkpoint whose first CU holds a
+    /// suspended epoch view with at least two dirty pages.
+    fn checkpoint_with_epoch_pages() -> SystemCheckpoint {
+        let kernel = add_one_kernel(64);
+        let mut sys = System::new(SystemConfig::preset(SystemKind::DcdPm), &kernel).unwrap();
+        let input: Vec<u32> = (1..=2048).collect();
+        let a_in = sys.alloc_words(&input);
+        let a_out = sys.alloc(2048 * 4);
+        sys.set_args(&[a_in as u32, a_out as u32]);
+        let mut progress = sys.dispatch_preemptible([32, 1, 1], 50).unwrap();
+        while progress == DispatchProgress::Paused {
+            let ck = sys.checkpoint().unwrap();
+            if ck.paused.epochs[0]
+                .as_ref()
+                .is_some_and(|view| view.pages.len() >= 2)
+            {
+                return ck;
+            }
+            progress = sys.resume_dispatch(50).unwrap();
+        }
+        panic!("no pause found the output pages dirty");
+    }
+
+    fn epoch_pages(ck: &mut SystemCheckpoint) -> &mut Vec<crate::memory::EpochPageState> {
+        &mut ck.paused.epochs[0].as_mut().unwrap().pages
+    }
+
+    #[test]
+    fn restore_rejects_epoch_page_past_the_memory() {
+        let mut ck = checkpoint_with_epoch_pages();
+        let len = ck.memory_bytes;
+        let page = epoch_pages(&mut ck).last_mut().unwrap();
+        page.index = len / 4096;
+        let index = page.index;
+        assert_eq!(
+            restore_fault(&ck),
+            ImageFault::PageOutOfRange { index, len }
+        );
+    }
+
+    #[test]
+    fn restore_rejects_repeated_epoch_page() {
+        let mut ck = checkpoint_with_epoch_pages();
+        let pages = epoch_pages(&mut ck);
+        let last = pages.last().unwrap().clone();
+        let index = last.index;
+        pages.push(last);
+        assert_eq!(restore_fault(&ck), ImageFault::PageRepeated { index });
+    }
+
+    #[test]
+    fn restore_rejects_epoch_pages_out_of_order() {
+        let mut ck = checkpoint_with_epoch_pages();
+        let pages = epoch_pages(&mut ck);
+        pages.swap(0, 1);
+        let (index, previous) = (pages[1].index, pages[0].index);
+        assert_eq!(
+            restore_fault(&ck),
+            ImageFault::PageOutOfOrder { index, previous }
+        );
+    }
+
+    #[test]
+    fn restore_rejects_epoch_page_longer_than_its_page() {
+        let mut ck = checkpoint_with_epoch_pages();
+        let page = &mut epoch_pages(&mut ck)[0];
+        page.data.push(0);
+        let index = page.index;
+        assert_eq!(
+            restore_fault(&ck),
+            ImageFault::PageTooLong { index, bytes: 4097 }
+        );
+    }
+
+    #[test]
+    fn restore_rejects_epoch_page_shorter_than_its_page() {
+        let mut ck = checkpoint_with_epoch_pages();
+        let page = &mut epoch_pages(&mut ck)[0];
+        page.data.truncate(4000);
+        let index = page.index;
+        assert_eq!(
+            restore_fault(&ck),
+            ImageFault::PageTooShort {
+                index,
+                bytes: 4000,
+                page: 4096
+            }
+        );
+    }
+
+    #[test]
+    fn restore_rejects_epoch_written_mask_of_the_wrong_length() {
+        let mut ck = checkpoint_with_epoch_pages();
+        let page = &mut epoch_pages(&mut ck)[0];
+        page.written.pop();
+        let index = page.index;
+        assert_eq!(
+            restore_fault(&ck),
+            ImageFault::WrittenMaskMismatch {
+                index,
+                words: 63,
+                bytes: 4096
+            }
+        );
+    }
+
+    /// A CRC-valid checkpoint can still carry a hostile epoch page index:
+    /// restoring it must fail typed instead of letting the resumed
+    /// dispatch index past the memory when it commits.
+    #[test]
+    fn resuming_an_epoch_page_past_the_memory_fails_typed_not_by_panic() {
+        let mut ck = checkpoint_with_epoch_pages();
+        epoch_pages(&mut ck).last_mut().unwrap().index = 1 << 40;
+        let bytes = scratch_snap::to_bytes(&ck);
+        let decoded: SystemCheckpoint = scratch_snap::from_bytes(&bytes).unwrap();
+        let outcome =
+            System::restore(&decoded, None).and_then(|mut sys| sys.resume_dispatch(1 << 20));
+        assert_eq!(
+            outcome.err(),
+            Some(SystemError::MalformedImage(ImageFault::PageOutOfRange {
+                index: 1 << 40,
+                len: decoded.memory_bytes
+            }))
         );
     }
 
