@@ -127,11 +127,14 @@ struct PShared<T> {
     /// Logical clock, ticking once per scheduler event (see
     /// [`JobTiming`]).
     clock: AtomicU64,
+    /// Ids minted so far (reserved, whether or not submitted yet).
+    minted: AtomicU64,
+    /// Jobs queued so far.
     submitted: AtomicU64,
-    /// Offset added to the `submitted` counter when minting submission
-    /// ids, so a restarted server can keep ids unique across process
+    /// Offset added to the `minted` counter when minting submission ids,
+    /// so a restarted server can keep ids unique across process
     /// lifetimes (WAL recovery hands the floor in via
-    /// [`PreemptiveEngine::with_first_id`]). `submitted` itself stays
+    /// [`PreemptiveEngine::with_first_id`]). The counters themselves stay
     /// zero-based: `pending()`/`submitted_count()` count this pool's own
     /// jobs regardless of where the id space starts.
     id_base: u64,
@@ -338,6 +341,7 @@ impl PreemptiveEngine {
             }),
             available: Condvar::new(),
             clock: AtomicU64::new(0),
+            minted: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             id_base: self.first_id,
             completed: AtomicU64::new(0),
@@ -396,23 +400,34 @@ impl<T: Send + 'static> PreemptiveHandle<T> {
     where
         F: FnMut(u64) -> Slice<T> + Send + 'static,
     {
-        self.submit_with_id(tenant, label, move |_id, slice| work(slice))
+        let id = self.reserve_id();
+        self.submit_reserved(id, tenant, label, move |_id, slice| work(slice));
+        id
     }
 
-    /// [`submit`](Self::submit), but `work` also receives the job's own
-    /// submission id as its first argument — the correlation key a slice
-    /// needs to stamp downstream artifacts (trace events, span timelines)
-    /// before the submit call has even returned the id to the caller.
-    pub fn submit_with_id<F>(
+    /// Mint the id of a job that will be submitted later with
+    /// [`submit_reserved`](Self::submit_reserved). A caller that must
+    /// record a job under its id before the job can run — the serving
+    /// layer journals each admission first — reserves, records, then
+    /// submits.
+    pub fn reserve_id(&self) -> u64 {
+        self.shared.id_base + self.shared.minted.fetch_add(1, Ordering::AcqRel)
+    }
+
+    /// [`submit`](Self::submit) under an id from
+    /// [`reserve_id`](Self::reserve_id); `work` also receives that id as
+    /// its first argument, the correlation key a slice stamps onto
+    /// downstream artifacts (trace events, span timelines).
+    pub fn submit_reserved<F>(
         &self,
+        id: u64,
         tenant: impl Into<String>,
         label: impl Into<String>,
         mut work: F,
-    ) -> u64
-    where
+    ) where
         F: FnMut(u64, u64) -> Slice<T> + Send + 'static,
     {
-        let id = self.shared.id_base + self.shared.submitted.fetch_add(1, Ordering::AcqRel);
+        self.shared.submitted.fetch_add(1, Ordering::AcqRel);
         let enqueued = self.shared.tick();
         {
             let mut st = self.shared.sched.lock().expect("preemptive sched lock");
@@ -429,7 +444,6 @@ impl<T: Send + 'static> PreemptiveHandle<T> {
             });
         }
         self.shared.available.notify_one();
-        id
     }
 
     /// Request cancellation of job `id`. Best-effort and asynchronous:

@@ -54,8 +54,8 @@ pub use chaos::{run_chaos, ChaosPlan, ChaosReport};
 pub use client::ServeClient;
 pub use load::{run_load, LoadPlan, LoadReport, StepReport};
 pub use protocol::{
-    fnv1a, JobDone, RejectReason, Rejection, Request, Response, StatsReply, SubmitRequest,
-    TenantStats, TenantTop, TopReply,
+    fnv1a, pack_words, unpack_words, JobDone, PackedError, RejectReason, Rejection, Request,
+    Response, StatsReply, SubmitRequest, TenantStats, TenantTop, TopReply,
 };
 pub use quota::TokenBucket;
 pub use server::{ServeConfig, Server};

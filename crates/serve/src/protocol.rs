@@ -5,9 +5,10 @@
 //! serde's externally-tagged enum shape, so a submit line looks like
 //!
 //! ```json
-//! {"Submit": {"tenant": "acme", "label": "job-1", "kernel": {…},
-//!             "input": [1, 2, 3], "grid": [2, 1, 1], "out_bytes": 16384,
-//!             "system": "dcdpm", "return_output": true}}
+//! {"Submit": {"tenant": "acme", "label": "job-1",
+//!             "kernel": {"name": "k", "words": "AACMvw==", "meta": {…}},
+//!             "input": "AQAAAAIAAAADAAAA", "grid": [2, 1, 1],
+//!             "out_bytes": 16384, "system": "dcdpm", "return_output": true}}
 //! ```
 //!
 //! and is answered *immediately* with `{"Accepted": {…}}` or
@@ -16,10 +17,23 @@
 //! connection. Accepted jobs always produce exactly one `Done`; rejected
 //! submissions never do. Responses to different jobs may interleave in
 //! completion order.
+//!
+//! ## Packed words
+//!
+//! Every word array on the wire — [`SubmitRequest::input`], the kernel's
+//! machine words and [`JobDone::output`] — travels as one string: the
+//! words' little-endian bytes in padded RFC 4648 base64 ([`pack_words`],
+//! [`unpack_words`]). Above, `"AQAAAAIAAAADAAAA"` is the input `[1, 2, 3]`
+//! and `"AACMvw=="` the single word `0xbf8c0000` (`s_endpgm`). A 4096-word
+//! input is a 21 848-byte string instead of ~45 KB of decimal numbers, and
+//! it decodes without building a value per word. Decimal arrays are
+//! refused: a line that carries one is answered with [`Response::Error`].
 
-use serde::{Deserialize, Serialize};
+use std::fmt;
 
-use scratch_asm::Kernel;
+use serde::{DeError, Deserialize, Map, Serialize, Value};
+
+use scratch_asm::{Kernel, KernelMeta};
 use scratch_system::{ExecMode, SystemKind};
 
 /// One client → server message.
@@ -50,8 +64,9 @@ pub enum Request {
     Top,
 }
 
-/// The payload of a [`Request::Submit`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The payload of a [`Request::Submit`]. Its kernel words and `input`
+/// travel packed (see the [module docs](self)).
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubmitRequest {
     /// Tenant this job bills against (quotas and queues are per-tenant).
     pub tenant: String,
@@ -263,8 +278,9 @@ impl std::fmt::Display for RejectReason {
     }
 }
 
-/// Completion record of one accepted job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Completion record of one accepted job. Its `output` travels packed
+/// (see the [module docs](self)).
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobDone {
     /// The id from the matching [`Response::Accepted`].
     pub job: u64,
@@ -361,6 +377,313 @@ pub fn fnv1a(words: &[u32]) -> u64 {
         }
     }
     hash
+}
+
+/// The base64 alphabet of RFC 4648 §4 (standard, not URL-safe).
+const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// Marks a byte outside [`ALPHABET`] in [`SEXTETS`].
+const NOT_BASE64: u8 = 0xff;
+
+/// Byte → 6-bit value, [`NOT_BASE64`] for every other byte.
+const SEXTETS: [u8; 256] = {
+    let mut table = [NOT_BASE64; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[ALPHABET[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Why a packed-words string does not decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PackedError {
+    /// The string is not a whole number of 4-character base64 groups.
+    Length {
+        /// Its length in bytes.
+        chars: usize,
+    },
+    /// A byte outside the base64 alphabet, or a `=` before the padding.
+    Alphabet {
+        /// Offset of the byte in the string.
+        at: usize,
+        /// The byte itself.
+        byte: u8,
+    },
+    /// More than two `=`, or padding that drops set bits (the string is
+    /// not the one encoding of its bytes).
+    Padding,
+    /// The bytes do not split into whole 32-bit words.
+    PartialWord {
+        /// The decoded byte count.
+        bytes: usize,
+    },
+}
+
+impl fmt::Display for PackedError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PackedError::Length { chars } => {
+                write!(
+                    f,
+                    "{chars} characters is not a whole number of base64 groups"
+                )
+            }
+            PackedError::Alphabet { at, byte } => {
+                write!(f, "byte {byte:#04x} at offset {at} is not base64")
+            }
+            PackedError::Padding => f.write_str("malformed base64 padding"),
+            PackedError::PartialWord { bytes } => {
+                write!(f, "{bytes} bytes is not a whole number of 32-bit words")
+            }
+        }
+    }
+}
+
+impl std::error::Error for PackedError {}
+
+/// The four base64 characters of three bytes.
+fn base64_group(b: [u8; 3]) -> [u8; 4] {
+    let n = u32::from_be_bytes([0, b[0], b[1], b[2]]);
+    [18, 12, 6, 0].map(|shift| ALPHABET[(n >> shift & 63) as usize])
+}
+
+/// Pack words as the protocol carries them: their little-endian bytes in
+/// padded RFC 4648 base64.
+#[must_use]
+pub fn pack_words(words: &[u32]) -> String {
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let mut out = Vec::with_capacity(bytes.len().div_ceil(3) * 4);
+    let mut groups = bytes.chunks_exact(3);
+    for g in &mut groups {
+        out.extend_from_slice(&base64_group([g[0], g[1], g[2]]));
+    }
+    let tail = groups.remainder();
+    if !tail.is_empty() {
+        let mut b = [0; 3];
+        b[..tail.len()].copy_from_slice(tail);
+        let mut chars = base64_group(b);
+        chars[tail.len() + 1..].fill(b'=');
+        out.extend_from_slice(&chars);
+    }
+    String::from_utf8(out).expect("base64 is ASCII")
+}
+
+/// The 24 bits of one 4-character base64 group (`=` read as zero bits
+/// where `pad` says the group is padded), or the offset in the group of
+/// its first byte outside the alphabet.
+fn group_bits(group: &[u8], pad: usize) -> Result<u32, usize> {
+    let mut n = 0;
+    for (i, &c) in group.iter().enumerate() {
+        let v = if i >= 4 - pad {
+            0
+        } else {
+            SEXTETS[usize::from(c)]
+        };
+        if v == NOT_BASE64 {
+            return Err(i);
+        }
+        n = (n << 6) | u32::from(v);
+    }
+    Ok(n)
+}
+
+/// Unpack a [`pack_words`] string. Strict: any string `pack_words` would
+/// not produce is refused with a typed error, never a panic.
+///
+/// # Errors
+///
+/// The first violated rule, as a [`PackedError`].
+pub fn unpack_words(text: &str) -> Result<Vec<u32>, PackedError> {
+    let s = text.as_bytes();
+    if !s.len().is_multiple_of(4) {
+        return Err(PackedError::Length { chars: s.len() });
+    }
+    let pad = s.iter().rev().take_while(|&&c| c == b'=').count();
+    if pad > 2 {
+        return Err(PackedError::Padding);
+    }
+    let len = s.len() / 4 * 3 - pad;
+    if !len.is_multiple_of(4) {
+        return Err(PackedError::PartialWord { bytes: len });
+    }
+    let mut bytes = Vec::with_capacity(len + 2);
+    let groups = s.len() / 4;
+    for (g, group) in s.chunks_exact(4).enumerate() {
+        let pad = if g + 1 == groups { pad } else { 0 };
+        let n = group_bits(group, pad).map_err(|i| PackedError::Alphabet {
+            at: g * 4 + i,
+            byte: group[i],
+        })?;
+        bytes.extend_from_slice(&n.to_be_bytes()[1..]);
+    }
+    // The bits padding drops must be zero, or the text is not the one
+    // encoding of its bytes.
+    if bytes[len..].iter().any(|&b| b != 0) {
+        return Err(PackedError::Padding);
+    }
+    Ok(bytes[..len]
+        .chunks_exact(4)
+        .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+        .collect())
+}
+
+/// A word array in its packed wire form, for decoding struct fields.
+struct Packed(Vec<u32>);
+
+impl Deserialize for Packed {
+    fn from_sval(v: &Value) -> Result<Packed, DeError> {
+        match v {
+            Value::Str(text) => unpack_words(text)
+                .map(Packed)
+                .map_err(|e| DeError(format!("packed words: {e}"))),
+            other => Err(DeError(format!(
+                "expected packed words (a base64 string), got {}; \
+                 decimal word arrays are not accepted",
+                other.kind()
+            ))),
+        }
+    }
+}
+
+/// The object of `(name, value)` fields, in the derive's shape.
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(name, value)| (name.to_owned(), value))
+            .collect(),
+    )
+}
+
+/// The fields of an object being decoded as type `ty`.
+struct Fields<'v> {
+    map: &'v Map,
+    ty: &'static str,
+}
+
+impl<'v> Fields<'v> {
+    fn of(v: &'v Value, ty: &'static str) -> Result<Fields<'v>, DeError> {
+        match v {
+            Value::Object(map) => Ok(Fields { map, ty }),
+            other => Err(DeError(format!(
+                "{ty}: expected object, got {}",
+                other.kind()
+            ))),
+        }
+    }
+
+    /// Field `name`; an absent field reads as `null`, as in the derive.
+    fn get<T: Deserialize>(&self, name: &str) -> Result<T, DeError> {
+        T::from_sval(self.map.get(name).unwrap_or(&Value::Null))
+            .map_err(|e| DeError(format!("{}.{name}: {e}", self.ty)))
+    }
+}
+
+fn kernel_sval(kernel: &Kernel) -> Value {
+    object([
+        ("name", Value::Str(kernel.name().to_owned())),
+        ("words", Value::Str(pack_words(kernel.words()))),
+        ("meta", kernel.meta().to_sval()),
+    ])
+}
+
+/// A wire kernel: `Kernel`'s own serde shape with its words packed.
+struct WireKernel(Kernel);
+
+impl Deserialize for WireKernel {
+    fn from_sval(v: &Value) -> Result<WireKernel, DeError> {
+        let f = Fields::of(v, "Kernel")?;
+        let name: String = f.get("name")?;
+        let Packed(words) = f.get("words")?;
+        let meta: KernelMeta = f.get("meta")?;
+        Ok(WireKernel(Kernel::from_words(name, words, meta)))
+    }
+}
+
+impl Serialize for SubmitRequest {
+    fn to_sval(&self) -> Value {
+        object([
+            ("tenant", self.tenant.to_sval()),
+            ("label", self.label.to_sval()),
+            ("kernel", kernel_sval(&self.kernel)),
+            ("input", Value::Str(pack_words(&self.input))),
+            ("grid", self.grid.to_sval()),
+            ("out_bytes", self.out_bytes.to_sval()),
+            ("system", self.system.to_sval()),
+            ("return_output", self.return_output.to_sval()),
+            ("exec", self.exec.to_sval()),
+        ])
+    }
+}
+
+impl Deserialize for SubmitRequest {
+    fn from_sval(v: &Value) -> Result<SubmitRequest, DeError> {
+        let f = Fields::of(v, "SubmitRequest")?;
+        let WireKernel(kernel) = f.get("kernel")?;
+        let Packed(input) = f.get("input")?;
+        Ok(SubmitRequest {
+            tenant: f.get("tenant")?,
+            label: f.get("label")?,
+            kernel,
+            input,
+            grid: f.get("grid")?,
+            out_bytes: f.get("out_bytes")?,
+            system: f.get("system")?,
+            return_output: f.get("return_output")?,
+            exec: f.get("exec")?,
+        })
+    }
+}
+
+impl Serialize for JobDone {
+    fn to_sval(&self) -> Value {
+        let output = match &self.output {
+            Some(words) => Value::Str(pack_words(words)),
+            None => Value::Null,
+        };
+        object([
+            ("job", self.job.to_sval()),
+            ("tenant", self.tenant.to_sval()),
+            ("label", self.label.to_sval()),
+            ("ok", self.ok.to_sval()),
+            ("error", self.error.to_sval()),
+            ("cycles", self.cycles.to_sval()),
+            ("instructions", self.instructions.to_sval()),
+            ("digest", self.digest.to_sval()),
+            ("output", output),
+            ("queue_us", self.queue_us.to_sval()),
+            ("exec_us", self.exec_us.to_sval()),
+            ("snap_us", self.snap_us.to_sval()),
+            ("slices", self.slices.to_sval()),
+            ("redelivered", self.redelivered.to_sval()),
+        ])
+    }
+}
+
+impl Deserialize for JobDone {
+    fn from_sval(v: &Value) -> Result<JobDone, DeError> {
+        let f = Fields::of(v, "JobDone")?;
+        Ok(JobDone {
+            job: f.get("job")?,
+            tenant: f.get("tenant")?,
+            label: f.get("label")?,
+            ok: f.get("ok")?,
+            error: f.get("error")?,
+            cycles: f.get("cycles")?,
+            instructions: f.get("instructions")?,
+            digest: f.get("digest")?,
+            output: f
+                .get::<Option<Packed>>("output")?
+                .map(|Packed(words)| words),
+            queue_us: f.get("queue_us")?,
+            exec_us: f.get("exec_us")?,
+            snap_us: f.get("snap_us")?,
+            slices: f.get("slices")?,
+            redelivered: f.get("redelivered")?,
+        })
+    }
 }
 
 #[cfg(test)]

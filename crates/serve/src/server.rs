@@ -207,7 +207,7 @@ impl WalMetrics {
             ),
             fsyncs: r.counter(
                 "scratch_wal_fsyncs_total",
-                "Appends that paid an fsync under the configured policy",
+                "Write-ahead log fsyncs: per append, background, rotation and final",
             ),
             append_errors: r.counter(
                 "scratch_wal_append_errors_total",
@@ -235,7 +235,9 @@ impl WalMetrics {
 
 /// The serving side of the write-ahead log: a mutex around the writer
 /// (appends from the admission path, the router and engine workers are
-/// serialized here) plus the `scratch_wal_*` metrics.
+/// serialized here) plus the `scratch_wal_*` metrics. The mutex covers
+/// the write alone: interval fsyncs run on the writer's background
+/// syncer, outside it.
 struct WalPlane {
     wal: Mutex<Wal>,
     metrics: WalMetrics,
@@ -251,9 +253,6 @@ impl WalPlane {
             Ok(info) => {
                 self.metrics.appends.inc();
                 self.metrics.appended_bytes.add(info.bytes);
-                if info.synced {
-                    self.metrics.fsyncs.inc();
-                }
             }
             Err(e) => {
                 self.metrics.append_errors.inc();
@@ -262,10 +261,11 @@ impl WalPlane {
         }
     }
 
-    /// Force an fsync (drain/shutdown path).
-    fn sync(&self) {
-        if let Err(e) = self.wal.lock().expect("wal lock").sync() {
-            eprintln!("scratch-serve: wal sync failed: {e}");
+    /// Stop the background syncer and make the whole log durable
+    /// (shutdown, once the backlog has drained).
+    fn close(&self) {
+        if let Err(e) = self.wal.lock().expect("wal lock").close() {
+            eprintln!("scratch-serve: wal close failed: {e}");
         }
     }
 }
@@ -439,6 +439,20 @@ struct PendingJob {
     conn_pending: Arc<AtomicU64>,
 }
 
+/// Where an admitted job came from.
+enum Origin {
+    /// A live submission. `line` is its request line exactly as received,
+    /// journaled as the Admitted payload when the WAL is on.
+    Live { line: Vec<u8> },
+    /// Re-admitted by WAL replay under its original request id, which its
+    /// records keep settling under. `resume` seeds the slice loop with a
+    /// recovered checkpoint's `(out_addr, snap bytes)`.
+    Replayed {
+        wal_id: u64,
+        resume: Option<(u64, Vec<u8>)>,
+    },
+}
+
 /// State shared by the accept loop, connection threads and the router.
 struct Inner {
     config: ServeConfig,
@@ -448,8 +462,9 @@ struct Inner {
     snap: SnapMetrics,
     tenants: Mutex<BTreeMap<String, Tenant>>,
     /// Admitted jobs whose outcome the router has not yet routed. The
-    /// admission path holds this lock *across* the engine submit, so the
-    /// router can never observe an outcome before its entry exists.
+    /// admission path inserts a job's entry before it submits the job,
+    /// so the router can never observe an outcome before its entry
+    /// exists.
     pending_jobs: Mutex<HashMap<u64, PendingJob>>,
     draining: AtomicBool,
     stop: AtomicBool,
@@ -647,6 +662,7 @@ impl Inner {
     fn admit(
         self: &Arc<Inner>,
         req: SubmitRequest,
+        line: Vec<u8>,
         tx: &Sender<String>,
         conn_pending: &Arc<AtomicU64>,
     ) -> Response {
@@ -757,8 +773,7 @@ impl Inner {
                 tenant_sig,
             ),
             track,
-            None,
-            None,
+            Origin::Live { line },
         );
         self.publish_backlog();
         Response::Accepted { job }
@@ -766,10 +781,7 @@ impl Inner {
 
     /// Hand one validated submission to the engine and register its
     /// pending entry — the shared tail of live admission ([`Inner::admit`])
-    /// and WAL replay ([`Inner::replay`]). `resume` seeds the slice loop
-    /// with a recovered checkpoint's `(out_addr, snap bytes)`; `wal_id`
-    /// pins the WAL record id for replayed jobs (`None` = live admission,
-    /// whose records settle under the engine id).
+    /// and WAL replay ([`Inner::replay`]).
     #[allow(clippy::too_many_arguments)]
     #[allow(clippy::type_complexity)]
     fn launch(
@@ -787,8 +799,7 @@ impl Inner {
             Arc<Mutex<InstrSignature>>,
         ),
         track: Option<Arc<SpanTrack>>,
-        resume: Option<(u64, Vec<u8>)>,
-        wal_id: Option<u64>,
+        origin: Origin,
     ) -> u64 {
         let (
             tenant_in_flight,
@@ -798,14 +809,13 @@ impl Inner {
             slo_gauges,
             tenant_sig,
         ) = handles;
-        // Live admissions journal the full submission; replayed jobs are
+        // Live admissions journal their request line; replayed jobs are
         // already in the log (replay is idempotent by request id), so
         // they are not re-journaled.
-        let payload = (wal_id.is_none() && self.wal.is_some()).then(|| {
-            serde_json::to_string(&req)
-                .expect("SubmitRequest always serializes")
-                .into_bytes()
-        });
+        let (line, wal_id, resume) = match origin {
+            Origin::Live { line } => (Some(line), None, None),
+            Origin::Replayed { wal_id, resume } => (None, Some(wal_id), resume),
+        };
         let inner = Arc::clone(self);
         let admitted = Instant::now();
         let engine_label = format!("{}/{}", req.tenant, req.label);
@@ -880,46 +890,42 @@ impl Inner {
             }
         };
         conn_pending.fetch_add(1, Ordering::AcqRel);
-        // Register the pending entry under the same critical section as
-        // the submit, so the router can't race us to the outcome — and
-        // journal the admission there too, so a job's Admitted record
-        // always precedes its Completed record in the log.
-        let job = {
-            let mut pending = self.pending_jobs.lock().expect("pending jobs lock");
-            let id = self
-                .engine
-                .submit_with_id(tenant.clone(), engine_label, work);
-            if let (Some(payload), Some(plane)) = (payload, &self.wal) {
-                plane.append(&Record::Admitted {
-                    id,
-                    tenant: tenant.clone(),
-                    label: label.clone(),
-                    payload,
-                });
-            }
-            pending.insert(
+        // Reserve the id, journal the admission under it, register the
+        // pending entry, and only then submit: a job's Admitted record
+        // always precedes its Completed record, the router never sees an
+        // outcome before its entry exists, and no lock admission or
+        // routing takes is held across the WAL append.
+        let id = self.engine.reserve_id();
+        if let (Some(payload), Some(plane)) = (line, &self.wal) {
+            plane.append(&Record::Admitted {
                 id,
-                PendingJob {
-                    tx,
-                    tenant,
-                    label,
-                    return_output,
-                    admitted,
-                    tenant_in_flight,
-                    tenant_completed,
-                    tenant_latency,
-                    tenant_slo,
-                    tenant_slo_gauges: slo_gauges,
-                    tenant_signature: tenant_sig,
-                    track,
-                    wal_id: wal_id.unwrap_or(id),
-                    redelivered,
-                    conn_pending: Arc::clone(&conn_pending),
-                },
-            );
-            id
-        };
-        job
+                tenant: tenant.clone(),
+                label: label.clone(),
+                payload,
+            });
+        }
+        self.pending_jobs.lock().expect("pending jobs lock").insert(
+            id,
+            PendingJob {
+                tx,
+                tenant: tenant.clone(),
+                label,
+                return_output,
+                admitted,
+                tenant_in_flight,
+                tenant_completed,
+                tenant_latency,
+                tenant_slo,
+                tenant_slo_gauges: slo_gauges,
+                tenant_signature: tenant_sig,
+                track,
+                wal_id: wal_id.unwrap_or(id),
+                redelivered,
+                conn_pending: Arc::clone(&conn_pending),
+            },
+        );
+        self.engine.submit_reserved(id, tenant, engine_label, work);
+        id
     }
 
     /// Re-admit every unfinished job recovery found in the write-ahead
@@ -927,11 +933,17 @@ impl Inner {
     /// router thread is live.
     fn replay(self: &Arc<Inner>, entries: Vec<PendingEntry>) {
         for entry in entries {
-            let req: SubmitRequest = match std::str::from_utf8(&entry.payload)
-                .map_err(|e| e.to_string())
-                .and_then(|s| serde_json::from_str(s).map_err(|e| e.to_string()))
-            {
-                Ok(req) => req,
+            // The payload is the request line as the client sent it, so
+            // the live decoder reads it. A log written before lines were
+            // journaled holds a bare decimal-array submission instead,
+            // which this decoder refuses: that job is dead-lettered.
+            let req = match decode_request(&entry.payload) {
+                Ok(Request::Submit(req)) => req,
+                Ok(other) => {
+                    let why = format!("payload is not a submission: {other:?}");
+                    self.dead_letter(entry.id, &why);
+                    continue;
+                }
                 Err(e) => {
                     self.dead_letter(entry.id, &format!("payload decode failed: {e}"));
                     continue;
@@ -1003,8 +1015,10 @@ impl Inner {
                 Arc::new(AtomicU64::new(0)),
                 handles,
                 track,
-                resume,
-                Some(entry.id),
+                Origin::Replayed {
+                    wal_id: entry.id,
+                    resume,
+                },
             );
         }
         self.publish_backlog();
@@ -1115,15 +1129,17 @@ impl Inner {
         }
     }
 
-    /// Handle one parsed request; returns the immediate response.
+    /// Handle one parsed request, given the line it was decoded from;
+    /// returns the immediate response.
     fn dispatch(
         self: &Arc<Inner>,
         req: Request,
+        line: Vec<u8>,
         tx: &Sender<String>,
         conn_pending: &Arc<AtomicU64>,
     ) -> Response {
         match req {
-            Request::Submit(submit) => self.admit(submit, tx, conn_pending),
+            Request::Submit(submit) => self.admit(submit, line, tx, conn_pending),
             Request::Stats => Response::Stats(self.stats()),
             Request::Top => Response::Top(self.top()),
             Request::Ping => Response::Pong,
@@ -1391,6 +1407,8 @@ impl Server {
                     }
                 }
                 let metrics = WalMetrics::new(&registry);
+                let fsyncs = metrics.fsyncs.clone();
+                wal.set_sync_observer(move || fsyncs.inc());
                 let report = &recovery.report;
                 metrics.replayed.add(report.replayed);
                 metrics.resumed.add(report.resumed);
@@ -1555,9 +1573,9 @@ impl Server {
         }
         let stats = self.inner.stats();
         // The backlog is drained; make its completion records durable
-        // before tearing anything down.
+        // and join the syncer before tearing anything down.
         if let Some(plane) = &self.inner.wal {
-            plane.sync();
+            plane.close();
         }
 
         // Stop the accept loop (one last self-connection unblocks it) and
@@ -1636,6 +1654,8 @@ fn read_loop(
     conn_pending: &Arc<AtomicU64>,
 ) {
     let mut acc: Vec<u8> = Vec::new();
+    // Bytes at the front of `acc` already searched for a newline.
+    let mut scanned = 0;
     let mut chunk = [0u8; 64 * 1024];
     let mut last_activity = Instant::now();
     loop {
@@ -1689,23 +1709,34 @@ fn read_loop(
             );
             return;
         }
-        // Process every complete line in the accumulator.
-        while let Some(pos) = acc.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = acc.drain(..=pos).collect();
-            let line = &line[..line.len() - 1]; // strip the newline
-            let line = std::str::from_utf8(line).unwrap_or("").trim();
-            if line.is_empty() {
+        // Process every complete line in the accumulator. Each line's
+        // bytes move out whole (the unread rest is what gets copied), so
+        // a submission is journaled exactly as received without a copy.
+        while let Some(pos) = acc[scanned..].iter().position(|&b| b == b'\n') {
+            let end = scanned + pos;
+            let rest = acc.split_off(end + 1);
+            let mut line = std::mem::replace(&mut acc, rest);
+            line.truncate(end); // strip the newline
+            scanned = 0;
+            if line.trim_ascii().is_empty() {
                 continue;
             }
-            let response = match serde_json::from_str::<Request>(line) {
-                Ok(req) => inner.dispatch(req, tx, conn_pending),
-                Err(e) => Response::Error {
-                    message: format!("malformed request: {e}"),
-                },
+            let response = match decode_request(&line) {
+                Ok(req) => inner.dispatch(req, line, tx, conn_pending),
+                Err(message) => Response::Error { message },
             };
             respond(tx, &response);
         }
+        scanned = acc.len();
     }
+}
+
+/// The request decoder: one line's bytes, as received, to a [`Request`].
+/// Live connections and WAL replay both decode with it. A line that is
+/// not UTF-8 or not a valid request is a typed error, never a panic.
+fn decode_request(line: &[u8]) -> Result<Request, String> {
+    let text = std::str::from_utf8(line).map_err(|e| format!("request line is not UTF-8: {e}"))?;
+    serde_json::from_str(text.trim()).map_err(|e| format!("malformed request: {e}"))
 }
 
 fn respond(tx: &Sender<String>, response: &Response) {

@@ -10,7 +10,9 @@ use std::time::Duration;
 
 use scratch_check::GenKernel;
 use scratch_metrics::Registry;
-use scratch_serve::{fnv1a, RejectReason, ServeClient, ServeConfig, Server, SubmitRequest};
+use scratch_serve::{
+    fnv1a, RejectReason, Request, ServeClient, ServeConfig, Server, SubmitRequest,
+};
 use scratch_system::{System, SystemConfig, SystemKind};
 
 /// A buildable generated kernel (skipping seeds that fail to assemble,
@@ -39,6 +41,15 @@ fn submit_of(gk: &GenKernel, tenant: &str, label: &str, return_output: bool) -> 
         return_output,
         exec: None,
     }
+}
+
+/// The Admitted payload a live daemon journals for a submission: its
+/// request line, exactly as the client sends it.
+fn line_of(gk: &GenKernel, tenant: &str, label: &str) -> Vec<u8> {
+    let request = Request::Submit(submit_of(gk, tenant, label, false));
+    serde_json::to_string(&request)
+        .expect("serializable")
+        .into_bytes()
 }
 
 /// Fast-tier and self-checking jobs ride the same wire: identical output
@@ -605,6 +616,82 @@ fn malformed_lines_answer_error_and_keep_the_connection() {
     server.shutdown();
 }
 
+/// A line that is not UTF-8, and a submission in the retired
+/// decimal-array form, each get a typed `Error` answer — not silence —
+/// and the connection keeps serving.
+#[test]
+fn non_utf8_and_decimal_array_lines_answer_error() {
+    use scratch_serve::Response;
+    use serde::Value;
+
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            registry: Some(Registry::new()),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind");
+    let gk = workload(19, 2);
+    let decimal = serde_json::to_string(&Value::Object(
+        [(
+            "Submit".to_owned(),
+            decimal_submit(&gk, "acme", "old-client"),
+        )]
+        .into(),
+    ))
+    .unwrap();
+
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.write_all(b"\xff\xfe\n").unwrap();
+    raw.write_all(format!("{decimal}\n\"Ping\"\n").as_bytes())
+        .unwrap();
+    raw.flush().unwrap();
+
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let mut next = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("an answer arrives");
+        serde_json::from_str::<Response>(&line).expect("a protocol line")
+    };
+    match next() {
+        Response::Error { message } => assert!(message.contains("not UTF-8"), "{message}"),
+        other => panic!("a non-UTF-8 line must answer Error, got {other:?}"),
+    }
+    match next() {
+        Response::Error { message } => {
+            assert!(message.contains("decimal word arrays"), "{message}");
+        }
+        other => panic!("a decimal-array submission must answer Error, got {other:?}"),
+    }
+    assert_eq!(next(), Response::Pong, "the connection keeps serving");
+
+    let stats = server.shutdown();
+    assert_eq!(stats.submitted, 0, "neither line reached admission");
+}
+
+/// A submission in the decimal-array shape daemons journaled before
+/// request lines were: `input` and the kernel's `words` as JSON number
+/// arrays, and no `Submit` tag.
+fn decimal_submit(gk: &GenKernel, tenant: &str, label: &str) -> serde::Value {
+    use serde::Value;
+
+    let numbers =
+        |words: &[u32]| Value::Array(words.iter().map(|&w| Value::U64(u64::from(w))).collect());
+    let submit = submit_of(gk, tenant, label, false);
+    let mut tree = serde_json::to_value(&submit).unwrap();
+    let Value::Object(fields) = &mut tree else {
+        panic!("a submission is an object")
+    };
+    fields.insert("input".to_owned(), numbers(&submit.input));
+    let Some(Value::Object(kernel)) = fields.get_mut("kernel") else {
+        panic!("the kernel is an object")
+    };
+    kernel.insert("words".to_owned(), numbers(submit.kernel.words()));
+    tree
+}
+
 /// The full observability plane under preemption: spans on, profiling on,
 /// a 4-worker pool, and a quantum small enough that every job is sliced
 /// at least three times. Every job's span timeline must tile its lifetime
@@ -762,16 +849,11 @@ fn wal_recovery_replays_pending_dedupes_completed_and_floors_ids() {
             ..WalConfig::new(&dir)
         })
         .expect("fresh log");
-        let payload_of = |gk: &GenKernel, tenant: &str, label: &str| {
-            serde_json::to_string(&submit_of(gk, tenant, label, false))
-                .expect("serializable")
-                .into_bytes()
-        };
         wal.append(&Record::Admitted {
             id: 3,
             tenant: "alpha".to_owned(),
             label: "done".to_owned(),
-            payload: payload_of(&gk_done, "alpha", "done"),
+            payload: line_of(&gk_done, "alpha", "done"),
         })
         .expect("append");
         wal.append(&Record::Completed {
@@ -787,7 +869,7 @@ fn wal_recovery_replays_pending_dedupes_completed_and_floors_ids() {
             id: 7,
             tenant: "beta".to_owned(),
             label: "pending".to_owned(),
-            payload: payload_of(&gk_pending, "beta", "pending"),
+            payload: line_of(&gk_pending, "beta", "pending"),
         })
         .expect("append");
     }
@@ -861,9 +943,7 @@ fn wal_recovery_survives_a_garbage_checkpoint() {
             id: 5,
             tenant: "alpha".to_owned(),
             label: "resumable".to_owned(),
-            payload: serde_json::to_string(&submit_of(&gk, "alpha", "resumable", false))
-                .expect("serializable")
-                .into_bytes(),
+            payload: line_of(&gk, "alpha", "resumable"),
         })
         .expect("append");
         wal.append(&Record::Checkpoint {
@@ -949,9 +1029,7 @@ fn wal_replay_of_a_malformed_memory_image_fails_only_its_job() {
                 id,
                 tenant: "alpha".to_owned(),
                 label: label.to_owned(),
-                payload: serde_json::to_string(&submit_of(gk, "alpha", label, false))
-                    .expect("serializable")
-                    .into_bytes(),
+                payload: line_of(gk, "alpha", label),
             })
             .expect("append");
         }
@@ -1000,6 +1078,76 @@ fn wal_replay_of_a_malformed_memory_image_fails_only_its_job() {
 
     let vr = scratch_wal::verify(&dir).expect("verify");
     assert!(vr.clean(), "post-shutdown log must be clean: {vr:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A log written before request lines were journaled holds decimal-array
+/// `SubmitRequest` payloads. Replay dead-letters such a job — a journaled
+/// failed completion naming the decode failure — while a sibling in the
+/// current shape replays and completes bit-identically.
+#[test]
+fn wal_replay_dead_letters_a_decimal_payload_and_runs_its_sibling() {
+    use scratch_wal::{FsyncPolicy, Record, Wal, WalConfig};
+
+    let dir = wal_dir("decimal-payload");
+    let gk_old = workload(360, 2);
+    let gk_new = workload(370, 2);
+    let (_, new_words) = direct_run(&gk_new);
+    {
+        let (mut wal, _) = Wal::open(WalConfig {
+            fsync: FsyncPolicy::Never,
+            ..WalConfig::new(&dir)
+        })
+        .expect("fresh log");
+        let old_payload = serde_json::to_string(&decimal_submit(&gk_old, "alpha", "old"))
+            .unwrap()
+            .into_bytes();
+        wal.append(&Record::Admitted {
+            id: 2,
+            tenant: "alpha".to_owned(),
+            label: "old".to_owned(),
+            payload: old_payload,
+        })
+        .expect("append");
+        wal.append(&Record::Admitted {
+            id: 4,
+            tenant: "alpha".to_owned(),
+            label: "new".to_owned(),
+            payload: line_of(&gk_new, "alpha", "new"),
+        })
+        .expect("append");
+    }
+
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 2,
+            registry: Some(Registry::new()),
+            wal: Some(WalConfig::new(&dir)),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind with wal");
+    assert_eq!(
+        server.recovery_report().expect("wal configured").replayed,
+        2
+    );
+
+    let old = await_completion(&dir, 2);
+    assert!(!old.ok, "an undecodable payload must not run");
+    assert!(
+        old.error.contains("payload decode failed"),
+        "typed dead-letter journaled: {}",
+        old.error
+    );
+    let new = await_completion(&dir, 4);
+    assert!(new.ok, "sibling replay failed: {}", new.error);
+    assert_eq!(new.digest, fnv1a(&new_words), "sibling is bit-identical");
+    server.shutdown();
+
+    let vr = scratch_wal::verify(&dir).expect("verify");
+    assert!(vr.clean(), "post-shutdown log must be clean: {vr:?}");
+    assert_eq!(vr.unfinished, 0, "both jobs settled exactly once");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

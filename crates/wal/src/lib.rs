@@ -8,7 +8,8 @@
 //! ```
 //!
 //! where `crc` is the IEEE CRC32 of the payload and the payload is one
-//! encoded [`Record`] — a job admission (the full serialized submission),
+//! encoded [`Record`] — a job admission (the submission's request line as
+//! the client sent it),
 //! a completion (the digest the client was or would have been told), or a
 //! mid-run checkpoint (the `scratch-snap` bytes captured at a preemption
 //! quantum boundary). Appends go to the newest segment; when it passes
@@ -32,7 +33,10 @@
 //! OS page cache survives a killed *process*, so even `Never` gives
 //! exactly-once recovery under SIGKILL (the chaos harness's regime);
 //! `Always`/`Interval` bound the loss window against whole-machine
-//! failure. The [`fault`] module hooks the append path for crash tests:
+//! failure. Only `Always` makes an append wait for the disk: `Interval`
+//! syncs on a background thread the writer owns, so the append path (and
+//! whatever lock its caller holds) never pays for a flush. The [`fault`]
+//! module hooks the append path for crash tests:
 //! a hook can tear a frame mid-write and abort, simulating the worst
 //! moment a power cut can pick.
 
@@ -68,6 +72,8 @@ pub enum WalError {
     },
     /// An installed [`AppendFault`] hook tore this append (test-only).
     TornWrite,
+    /// The writer was [closed](Wal::close); it appends nothing more.
+    Closed,
 }
 
 impl fmt::Display for WalError {
@@ -81,6 +87,7 @@ impl fmt::Display for WalError {
                 )
             }
             WalError::TornWrite => write!(f, "append torn by the installed fault hook"),
+            WalError::Closed => write!(f, "append to a closed log"),
         }
     }
 }

@@ -2,9 +2,13 @@
 //! verify/inspect views.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -16,12 +20,15 @@ use crate::WalError;
 /// When appends reach the disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fdatasync` after every append: no acked admission is ever lost,
-    /// even to power failure. The slowest policy by far.
+    /// `fdatasync` after every append, before [`Wal::append`] returns: no
+    /// acked admission is ever lost, even to power failure. The slowest
+    /// policy by far.
     Always,
-    /// `fdatasync` at most once per this many milliseconds (and at every
-    /// segment rotation): bounds the power-loss window without paying a
-    /// sync per job. The default, at 100 ms.
+    /// `fdatasync` at most once per this many milliseconds (`0` counts as
+    /// 1), on a background syncer thread, whenever something was appended
+    /// since the last sync, and at every segment rotation. Bounds the
+    /// power-loss window to about one interval without an append ever
+    /// waiting for the disk. The default, at 100 ms.
     IntervalMs(u64),
     /// Never sync explicitly; the OS flushes on its own schedule. Still
     /// exactly-once under a killed *process* (page cache survives
@@ -129,7 +136,7 @@ pub struct PendingEntry {
     pub tenant: String,
     /// Submission label.
     pub label: String,
-    /// The serialized submission exactly as admitted.
+    /// The admission payload exactly as journaled.
     pub payload: Vec<u8>,
     /// Newest durable checkpoint: output base address + snap bytes.
     pub checkpoint: Option<(u64, Vec<u8>)>,
@@ -152,8 +159,6 @@ pub struct Recovery {
 pub struct AppendInfo {
     /// Frame bytes written (header + payload).
     pub bytes: u64,
-    /// Whether this append paid an fsync.
-    pub synced: bool,
 }
 
 fn segment_path(dir: &Path, index: u64) -> PathBuf {
@@ -286,17 +291,82 @@ impl Fold {
     }
 }
 
+/// Called after every fsync the writer completes (see
+/// [`Wal::set_sync_observer`]).
+type SyncObserver = Box<dyn Fn() + Send + Sync>;
+
+/// What the writer shares with its background syncer.
+struct SyncState {
+    /// The segment receiving appends; rotation swaps it.
+    active: Mutex<Arc<File>>,
+    /// Set by every interval-policy append after its write, cleared by
+    /// the syncer just before the sync that covers it (the append's
+    /// Release store pairs with the syncer's AcqRel swap).
+    dirty: AtomicBool,
+    /// `true` once the writer is closing; the syncer exits.
+    stop: Mutex<bool>,
+    wake: Condvar,
+    observer: Mutex<Option<SyncObserver>>,
+}
+
+impl SyncState {
+    /// Sync `file` and tell the observer.
+    fn sync(&self, file: &File) -> std::io::Result<()> {
+        file.sync_data()?;
+        if let Some(observe) = &*self.observer.lock().expect("wal sync observer lock") {
+            observe();
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Debug for SyncState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SyncState")
+            .field("dirty", &self.dirty.load(Ordering::Relaxed))
+            .finish_non_exhaustive()
+    }
+}
+
+/// The interval policy's syncer: every `interval`, sync the active
+/// segment if anything was appended since the last sync, until told to
+/// stop. A failed sync is reported and retried at the next interval.
+fn run_syncer(state: &SyncState, interval: Duration) {
+    loop {
+        let stop = state.stop.lock().expect("wal syncer lock");
+        let (stop, _) = state
+            .wake
+            .wait_timeout_while(stop, interval, |stop| !*stop)
+            .expect("wal syncer lock");
+        if *stop {
+            return;
+        }
+        drop(stop);
+        if state.dirty.swap(false, Ordering::AcqRel) {
+            let file = Arc::clone(&state.active.lock().expect("wal active segment lock"));
+            if let Err(e) = state.sync(&file) {
+                state.dirty.store(true, Ordering::Release);
+                eprintln!("scratch-wal: background fsync failed: {e}");
+            }
+        }
+    }
+}
+
 /// The log writer. One per serving process; appends are serialized by the
-/// caller (the serving layer holds it in a mutex).
+/// caller (the serving layer holds it in a mutex). Under
+/// [`FsyncPolicy::IntervalMs`] it owns a background syncer thread, which
+/// [`Wal::close`] (or dropping the writer) stops and joins.
 #[derive(Debug)]
 pub struct Wal {
     config: WalConfig,
-    active: File,
+    active: Arc<File>,
     active_index: u64,
     active_len: u64,
     appends: u64,
-    last_sync: Instant,
     hook: Option<Box<dyn AppendFault>>,
+    shared: Arc<SyncState>,
+    syncer: Option<JoinHandle<()>>,
+    closed: bool,
 }
 
 impl Wal {
@@ -340,10 +410,31 @@ impl Wal {
             Some((index, _)) => (index + 1, 0),
             None => (0, 0),
         };
-        let active = OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(segment_path(&config.dir, active_index))?;
+        let active = Arc::new(
+            OpenOptions::new()
+                .append(true)
+                .create(true)
+                .open(segment_path(&config.dir, active_index))?,
+        );
+        let shared = Arc::new(SyncState {
+            active: Mutex::new(Arc::clone(&active)),
+            dirty: AtomicBool::new(false),
+            stop: Mutex::new(false),
+            wake: Condvar::new(),
+            observer: Mutex::new(None),
+        });
+        let syncer = match config.fsync {
+            FsyncPolicy::IntervalMs(ms) => {
+                let state = Arc::clone(&shared);
+                let interval = Duration::from_millis(ms.max(1));
+                Some(
+                    std::thread::Builder::new()
+                        .name("scratch-wal-sync".to_owned())
+                        .spawn(move || run_syncer(&state, interval))?,
+                )
+            }
+            FsyncPolicy::Always | FsyncPolicy::Never => None,
+        };
 
         let pending: Vec<PendingEntry> = fold
             .order
@@ -387,8 +478,10 @@ impl Wal {
                 active_index,
                 active_len,
                 appends: 0,
-                last_sync: Instant::now(),
                 hook: None,
+                shared,
+                syncer,
+                closed: false,
             },
             recovery,
         ))
@@ -411,21 +504,34 @@ impl Wal {
         self.hook = Some(hook);
     }
 
+    /// Call `observer` after every fsync the writer completes: each
+    /// append's under [`FsyncPolicy::Always`], the background syncer's
+    /// under [`FsyncPolicy::IntervalMs`], every rotation's, and those of
+    /// [`Wal::sync`] and [`Wal::close`]. The serving layer counts them.
+    pub fn set_sync_observer(&mut self, observer: impl Fn() + Send + Sync + 'static) {
+        *self.shared.observer.lock().expect("wal sync observer lock") = Some(Box::new(observer));
+    }
+
     /// Append one record, honouring the fsync policy and rotating the
-    /// segment when it fills.
+    /// segment when it fills. Only [`FsyncPolicy::Always`] makes the
+    /// append wait for the disk.
     ///
     /// # Errors
     ///
-    /// Filesystem failure, an oversized record, or an installed fault
-    /// hook tearing the write.
+    /// Filesystem failure, an oversized record, an installed fault hook
+    /// tearing the write, or a [closed](Wal::close) writer.
     pub fn append(&mut self, record: &Record) -> Result<AppendInfo, WalError> {
+        if self.closed {
+            return Err(WalError::Closed);
+        }
         let frame = record.frame()?;
         self.appends += 1;
+        let mut file = &*self.active;
         if let Some(hook) = &mut self.hook {
             if let TearAction::Tear { keep, abort } = hook.on_append(self.appends, &frame) {
                 let keep = keep.min(frame.len());
-                self.active.write_all(&frame[..keep])?;
-                self.active.flush()?;
+                file.write_all(&frame[..keep])?;
+                file.flush()?;
                 self.active_len += keep as u64;
                 if abort {
                     // Make the torn bytes reach the disk exactly as a
@@ -442,49 +548,79 @@ impl Wal {
                 return Err(WalError::TornWrite);
             }
         }
-        self.active.write_all(&frame)?;
+        file.write_all(&frame)?;
         self.active_len += frame.len() as u64;
-        let synced = match self.config.fsync {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::IntervalMs(ms) => self.last_sync.elapsed() >= Duration::from_millis(ms),
-            FsyncPolicy::Never => false,
-        };
-        if synced {
-            self.active.sync_data()?;
-            self.last_sync = Instant::now();
+        match self.config.fsync {
+            FsyncPolicy::Always => self.shared.sync(file)?,
+            FsyncPolicy::IntervalMs(_) => self.shared.dirty.store(true, Ordering::Release),
+            FsyncPolicy::Never => {}
         }
         if self.active_len >= self.config.segment_bytes {
             self.rotate()?;
         }
         Ok(AppendInfo {
             bytes: frame.len() as u64,
-            synced,
         })
     }
 
-    /// Force an fsync of the active segment (drain/shutdown paths).
+    /// Force an fsync of the active segment, whatever the policy.
     ///
     /// # Errors
     ///
     /// The underlying `fdatasync` failed.
     pub fn sync(&mut self) -> Result<(), WalError> {
-        self.active.sync_data()?;
-        self.last_sync = Instant::now();
-        Ok(())
+        Ok(self.shared.sync(&self.active)?)
+    }
+
+    /// End the writer's life (drain and shutdown): stop and join the
+    /// background syncer, then sync the active segment. Appends after
+    /// this are refused with [`WalError::Closed`].
+    ///
+    /// # Errors
+    ///
+    /// The final `fdatasync` failed.
+    pub fn close(&mut self) -> Result<(), WalError> {
+        self.stop_syncer();
+        self.closed = true;
+        self.sync()
+    }
+
+    /// Also runs in `Drop`, so it must not panic: the flag is a plain
+    /// bool, valid even behind a poisoned lock.
+    fn stop_syncer(&mut self) {
+        if let Some(syncer) = self.syncer.take() {
+            *self
+                .shared
+                .stop
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
+            self.shared.wake.notify_all();
+            let _ = syncer.join();
+        }
     }
 
     fn rotate(&mut self) -> Result<(), WalError> {
         // A closed segment is history: make it durable regardless of
         // policy before moving on.
-        self.active.sync_data()?;
+        self.shared.sync(&self.active)?;
         self.active_index += 1;
-        self.active = OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(segment_path(&self.config.dir, self.active_index))?;
+        self.active = Arc::new(
+            OpenOptions::new()
+                .append(true)
+                .create(true)
+                .open(segment_path(&self.config.dir, self.active_index))?,
+        );
+        *self.shared.active.lock().expect("wal active segment lock") = Arc::clone(&self.active);
         self.active_len = 0;
-        self.last_sync = Instant::now();
         Ok(())
+    }
+}
+
+impl Drop for Wal {
+    /// Stop and join the background syncer. Dropping does not sync;
+    /// [`Wal::close`] does.
+    fn drop(&mut self) {
+        self.stop_syncer();
     }
 }
 
@@ -816,7 +952,7 @@ mod tests {
     }
 
     #[test]
-    fn fsync_policies_parse_and_appends_report_syncs() {
+    fn fsync_policies_parse() {
         assert_eq!(FsyncPolicy::parse("always").unwrap(), FsyncPolicy::Always);
         assert_eq!(FsyncPolicy::parse("never").unwrap(), FsyncPolicy::Never);
         assert_eq!(
@@ -824,24 +960,73 @@ mod tests {
             FsyncPolicy::IntervalMs(250)
         );
         assert!(FsyncPolicy::parse("sometimes").is_err());
+    }
 
-        let dir = temp_dir("fsync");
-        let config = WalConfig {
-            fsync: FsyncPolicy::Always,
-            ..WalConfig::new(&dir)
+    /// Count the fsyncs `wal` reports from now on.
+    fn count_syncs(wal: &mut Wal) -> Arc<std::sync::atomic::AtomicU64> {
+        let syncs = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let counter = Arc::clone(&syncs);
+        wal.set_sync_observer(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        });
+        syncs
+    }
+
+    #[test]
+    fn each_policy_syncs_when_it_promises() {
+        let open = |tag: &str, fsync: FsyncPolicy| {
+            let (mut wal, _) = Wal::open(WalConfig {
+                fsync,
+                ..WalConfig::new(temp_dir(tag))
+            })
+            .unwrap();
+            let syncs = count_syncs(&mut wal);
+            (wal, syncs)
         };
-        let (mut wal, _) = Wal::open(config).unwrap();
-        let info = wal.append(&admitted(0)).unwrap();
-        assert!(info.synced);
+
+        // `always`: every append has synced by the time it returns.
+        let (mut wal, syncs) = open("policy-always", FsyncPolicy::Always);
+        for id in 0..3 {
+            wal.append(&admitted(id)).unwrap();
+            assert_eq!(
+                syncs.load(Ordering::SeqCst),
+                id + 1,
+                "synced before returning"
+            );
+        }
+        let _ = std::fs::remove_dir_all(wal.dir());
+
+        // An interval too long to elapse: appends never sync inline, and
+        // `close` syncs once, joins the syncer and refuses later appends.
+        let (mut wal, syncs) = open("policy-hour", FsyncPolicy::IntervalMs(3_600_000));
+        for id in 0..3 {
+            wal.append(&admitted(id)).unwrap();
+        }
+        assert_eq!(syncs.load(Ordering::SeqCst), 0, "no append paid a sync");
+        wal.close().unwrap();
+        assert_eq!(syncs.load(Ordering::SeqCst), 1, "close synced");
+        assert!(wal.syncer.is_none(), "close joined the syncer");
+        assert!(matches!(wal.append(&admitted(3)), Err(WalError::Closed)));
+        let _ = std::fs::remove_dir_all(wal.dir());
+
+        // A short interval: the background syncer covers the append.
+        let (mut wal, syncs) = open("policy-interval", FsyncPolicy::IntervalMs(1));
+        wal.append(&admitted(0)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while syncs.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < deadline, "the syncer never synced");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let _ = std::fs::remove_dir_all(wal.dir());
         drop(wal);
-        let config = WalConfig {
-            fsync: FsyncPolicy::Never,
-            ..WalConfig::new(&dir)
-        };
-        let (mut wal, _) = Wal::open(config).unwrap();
-        let info = wal.append(&admitted(1)).unwrap();
-        assert!(!info.synced);
-        let _ = std::fs::remove_dir_all(&dir);
+
+        // `never`: appends do not sync, however long they sit.
+        let (mut wal, syncs) = open("policy-never", FsyncPolicy::Never);
+        wal.append(&admitted(0)).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(syncs.load(Ordering::SeqCst), 0);
+        assert!(wal.syncer.is_none(), "no syncer without an interval");
+        let _ = std::fs::remove_dir_all(wal.dir());
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub enum Record {
         tenant: String,
         /// Submission label, for the same reason.
         label: String,
-        /// The full serialized submission, opaque to the log (the serving
-        /// layer stores its wire-format `SubmitRequest` JSON).
+        /// The full submission, opaque to the log (the serving layer
+        /// stores the request line exactly as the client sent it).
         payload: Vec<u8>,
     },
     /// An admitted job produced its outcome (ok or failed — failures are
