@@ -8,7 +8,9 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use scratch_asm::KernelBuilder;
 use scratch_check::GenKernel;
+use scratch_isa::Opcode;
 use scratch_metrics::Registry;
 use scratch_serve::{
     fnv1a, RejectReason, Request, ServeClient, ServeConfig, Server, SubmitRequest,
@@ -579,6 +581,91 @@ fn cancel_stops_midflight_job_without_blocking_drain() {
     assert_eq!(stats.completed, 2, "cancelled jobs still complete");
     assert_eq!(stats.failed, 1, "the cancelled job counts as failed");
     assert_eq!(stats.cancelled, 1);
+}
+
+/// `spin: s_branch spin` — a kernel that never terminates.
+fn spin_request(exec: Option<&str>) -> SubmitRequest {
+    let mut b = KernelBuilder::new("spin");
+    b.vgprs(8).sgprs(32).workgroup_size(64);
+    let top = b.new_label();
+    b.bind(top).expect("fresh label");
+    b.branch(Opcode::SBranch, top);
+    b.endpgm().expect("endpgm");
+    SubmitRequest {
+        tenant: "runaway".to_owned(),
+        label: format!("spin-{}", exec.unwrap_or("cycle")),
+        kernel: b.finish().expect("spin kernel builds"),
+        input: Vec::new(),
+        grid: [1, 1, 1],
+        out_bytes: 4,
+        system: None,
+        return_output: false,
+        exec: exec.map(str::to_owned),
+    }
+}
+
+/// A runaway kernel answers a typed watchdog failure on both tiers — the
+/// sliced cycle tier and the unsliced fast tier — and takes nothing down
+/// with it: a sibling job completes bit-identical to a direct run and
+/// the daemon still drains.
+#[test]
+fn runaway_jobs_trip_the_watchdog_on_both_tiers() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            quantum_cycles: 1_000,
+            watchdog_cycles: 50_000,
+            registry: Some(Registry::new()),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind");
+    let gk = workload(23, 2);
+    let (ref_cycles, ref_words) = direct_run(&gk);
+    let mut client = ServeClient::connect(server.addr()).expect("connect");
+
+    let mut runaways = Vec::new();
+    for exec in [None, Some("fast")] {
+        let job = client
+            .submit(spin_request(exec))
+            .expect("protocol")
+            .expect("admits");
+        runaways.push(job);
+    }
+    let sibling = client
+        .submit(submit_of(&gk, "steady", "sibling", true))
+        .expect("protocol")
+        .expect("admits");
+
+    let mut seen = Vec::new();
+    for _ in 0..3 {
+        let d = client.recv_done().expect("every job answers");
+        if d.job == sibling {
+            assert!(d.ok, "sibling failed: {:?}", d.error);
+            assert_eq!(d.output.as_ref().expect("return_output"), &ref_words);
+            assert_eq!(d.cycles, ref_cycles);
+        } else {
+            assert!(runaways.contains(&d.job), "unknown job {}", d.job);
+            assert!(!d.ok, "{} must not report success", d.label);
+            assert_eq!(
+                d.error.as_deref(),
+                Some("watchdog: job exceeded its 50000-cycle budget"),
+                "{}",
+                d.label
+            );
+        }
+        seen.push(d.job);
+    }
+    seen.sort_unstable();
+    assert_eq!(seen, vec![runaways[0], runaways[1], sibling]);
+
+    client.drain().expect("drain acknowledged");
+    server.wait_drain();
+    let stats = server.shutdown();
+    assert_eq!(stats.accepted, 3);
+    assert_eq!(stats.completed, 3);
+    assert_eq!(stats.failed, 2, "both runaways count as failed");
 }
 
 #[test]
