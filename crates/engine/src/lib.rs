@@ -1,18 +1,24 @@
 //! # scratch-engine
 //!
 //! Parallel execution engine for the SCRATCH simulators, with
-//! deterministic batch scheduling. Two independent layers:
+//! deterministic batch scheduling.
 //!
-//! * **Intra-run parallelism** lives in `scratch-system`: a dispatch's CU
-//!   shards run on worker threads against epoch-batched copy-on-write
-//!   memory views (`SystemConfig::with_workers`), committing in CU-index
-//!   order — cycle counts are bit-identical to the serial scheduler.
-//! * **Inter-run batching** lives here: an [`Engine`] worker pool consumes
-//!   a job queue of independent simulator runs ([`KernelJob`] or arbitrary
-//!   closures), isolates per-job panics into structured [`JobError`]s, and
-//!   streams [`JobOutcome`]s back as they complete. Batch results are
-//!   returned in submission order, so a sweep's output never depends on
-//!   scheduling.
+//! One worker pool, [`Engine`], runs every job as a sequence of
+//! [`Slice`]s: tenants take turns between slices, a job can be cancelled
+//! at any quantum boundary, and per-job panics become structured
+//! [`JobError`]s instead of killing a worker. A job that finishes in its
+//! first slice is an ordinary run-to-completion job, so a batch of
+//! independent simulator runs ([`KernelJob`]s or arbitrary closures) is
+//! just a batch of one-slice jobs under one tenant
+//! ([`Engine::run_batch`]), returned in submission order — a sweep's
+//! output never depends on scheduling. The serving layer submits
+//! multi-slice jobs that carry a checkpoint between quanta.
+//!
+//! Intra-run parallelism is a separate, composable layer in
+//! `scratch-system`: a dispatch's CU shards run on worker threads against
+//! epoch-batched copy-on-write memory views
+//! (`SystemConfig::with_workers`), committing in CU-index order — cycle
+//! counts are bit-identical to the serial scheduler.
 //!
 //! Both layers use only `std::thread` — no external runtime.
 //!
@@ -49,12 +55,12 @@
 #![warn(missing_docs)]
 
 mod job;
-mod preempt;
-mod queue;
+mod pool;
 
-pub use job::{run_kernel_jobs, KernelJob};
-pub use preempt::{PreemptiveEngine, PreemptiveHandle, Slice};
-pub use queue::{Engine, EngineHandle, JobError, JobOutcome, JobTiming, DEFAULT_WATCHDOG_CYCLES};
+pub use job::{
+    run_kernel_jobs, watchdog, JobError, JobOutcome, JobTiming, KernelJob, DEFAULT_WATCHDOG_CYCLES,
+};
+pub use pool::{Engine, EngineHandle, Slice};
 
 /// One worker per core the OS reports as available (the `--jobs` default
 /// of the CLI tools).

@@ -1,15 +1,15 @@
-//! The preemptive scheduling layer: jobs execute in *slices* (quanta) on a
-//! small worker pool, with per-tenant round-robin between slices and
-//! best-effort cancellation at quantum boundaries.
+//! The engine's worker pool: jobs execute in *slices* (quanta), with
+//! per-tenant round-robin between slices and best-effort cancellation at
+//! quantum boundaries.
 //!
-//! Where [`Engine`](crate::Engine) runs each job to completion on the
-//! worker that picked it, [`PreemptiveEngine`] hands a job's closure back
-//! to the scheduler after every slice: a long-running job cannot monopolise
-//! a worker, tenants share the pool fairly whatever their queue depths,
-//! and a cancelled job stops at its next quantum boundary instead of
-//! running to the end. The slice closure owns whatever state it needs to
-//! continue — the serving layer's jobs carry a serialized
-//! `scratch_system::SystemCheckpoint` between quanta.
+//! After every slice a job's closure goes back to the scheduler, so a
+//! long-running job cannot monopolise a worker, tenants share the pool
+//! fairly whatever their queue depths, and a cancelled job stops at its
+//! next quantum boundary instead of running to the end. The slice closure
+//! owns whatever state it needs to continue — the serving layer's jobs
+//! carry a serialized `scratch_system::SystemCheckpoint` between quanta.
+//! A job whose first slice returns [`Slice::Done`] simply runs to
+//! completion: that is all a batch is ([`Engine::run_batch`]).
 
 use std::collections::{HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -19,12 +19,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use scratch_metrics::{Counter, Registry};
+use scratch_metrics::{Counter, Gauge, Histogram, Registry};
 
 use crate::default_workers;
-use crate::queue::{JobError, JobOutcome, JobTiming};
+use crate::job::{JobError, JobOutcome, JobTiming};
 
-/// What one execution slice of a preemptible job reports back.
+/// What one execution slice of a job reports back.
 pub enum Slice<T> {
     /// The quantum is spent but the job has more work; the scheduler will
     /// run another slice after other tenants have had their turn.
@@ -35,8 +35,8 @@ pub enum Slice<T> {
 
 type SliceFn<T> = Box<dyn FnMut(u64) -> Slice<T> + Send>;
 
-/// A preemptible job parked between slices.
-struct PJob<T> {
+/// A job parked between slices.
+struct Job<T> {
     id: u64,
     label: String,
     tenant: String,
@@ -52,8 +52,8 @@ struct PJob<T> {
 
 /// Scheduler state: one FIFO per tenant (in first-seen order) with a
 /// round-robin cursor between them.
-struct PSched<T> {
-    queues: Vec<(String, VecDeque<PJob<T>>)>,
+struct Sched<T> {
+    queues: Vec<(String, VecDeque<Job<T>>)>,
     rr: usize,
     /// Ids whose cancellation was requested but not yet delivered.
     cancelled: HashSet<u64>,
@@ -62,11 +62,11 @@ struct PSched<T> {
     shutdown: bool,
 }
 
-impl<T> PSched<T> {
+impl<T> Sched<T> {
     /// Pop the next runnable job, tenant round-robin: starting from the
     /// cursor, the first tenant with queued work gets one job picked, and
     /// the cursor moves past it.
-    fn pick(&mut self) -> Option<PJob<T>> {
+    fn pick(&mut self) -> Option<Job<T>> {
         let n = self.queues.len();
         for k in 0..n {
             let i = (self.rr + k) % n;
@@ -80,7 +80,7 @@ impl<T> PSched<T> {
 
     /// Queue a job at the back of its tenant's FIFO, creating the
     /// tenant's queue on first sight.
-    fn enqueue(&mut self, job: PJob<T>) {
+    fn enqueue(&mut self, job: Job<T>) {
         match self.queues.iter().position(|(t, _)| *t == job.tenant) {
             Some(i) => self.queues[i].1.push_back(job),
             None => {
@@ -95,37 +95,74 @@ impl<T> PSched<T> {
     }
 }
 
-/// Counters of the preemptive scheduler's metrics plane.
-struct PreemptMetrics {
+/// The pool's handles into its metrics registry.
+struct EngineMetrics {
+    submitted: Counter,
+    completed: Counter,
+    panicked: Counter,
+    watchdog: Counter,
+    cancelled: Counter,
     quanta: Counter,
     preemptions: Counter,
-    cancelled: Counter,
+    queue_depth: Gauge,
+    busy_workers: Gauge,
+    wait_ticks: Histogram,
+    run_ticks: Histogram,
 }
 
-impl PreemptMetrics {
-    fn new(registry: &Registry) -> PreemptMetrics {
-        PreemptMetrics {
-            quanta: registry.counter(
-                "scratch_preempt_quanta_total",
-                "Execution quanta (job slices) run by the preemptive pool",
+impl EngineMetrics {
+    fn new(registry: &Registry) -> EngineMetrics {
+        EngineMetrics {
+            submitted: registry.counter("scratch_engine_jobs_submitted_total", "Jobs queued"),
+            completed: registry.counter(
+                "scratch_engine_jobs_completed_total",
+                "Jobs whose outcome was produced (including failures)",
             ),
-            preemptions: registry.counter(
-                "scratch_preempt_preemptions_total",
-                "Times a job was preempted at a quantum boundary",
+            panicked: registry.counter(
+                "scratch_engine_jobs_panicked_total",
+                "Jobs that panicked and were isolated by the pool",
+            ),
+            watchdog: registry.counter(
+                "scratch_engine_watchdog_trips_total",
+                "Jobs stopped by the cycle-budget watchdog",
             ),
             cancelled: registry.counter(
                 "scratch_preempt_cancelled_total",
                 "Jobs cancelled before completion (queued or mid-flight)",
             ),
+            quanta: registry.counter(
+                "scratch_preempt_quanta_total",
+                "Execution quanta (job slices) run by the pool",
+            ),
+            preemptions: registry.counter(
+                "scratch_preempt_preemptions_total",
+                "Times a job was preempted at a quantum boundary",
+            ),
+            queue_depth: registry.gauge(
+                "scratch_engine_queue_depth",
+                "Jobs waiting in the queue right now",
+            ),
+            busy_workers: registry.gauge(
+                "scratch_engine_busy_workers",
+                "Workers currently executing a job",
+            ),
+            wait_ticks: registry.histogram(
+                "scratch_engine_job_wait_ticks",
+                "Logical-clock ticks jobs sat queued before pickup",
+            ),
+            run_ticks: registry.histogram(
+                "scratch_engine_job_run_ticks",
+                "Logical-clock ticks between job pickup and completion",
+            ),
         }
     }
 }
 
-struct PShared<T> {
-    sched: Mutex<PSched<T>>,
+struct Shared<T> {
+    sched: Mutex<Sched<T>>,
     available: Condvar,
-    /// Logical clock, ticking once per scheduler event (see
-    /// [`JobTiming`]).
+    /// The pool's logical clock: ticks once per scheduler event (submit,
+    /// first pickup, completion). See [`JobTiming`].
     clock: AtomicU64,
     /// Ids minted so far (reserved, whether or not submitted yet).
     minted: AtomicU64,
@@ -134,17 +171,20 @@ struct PShared<T> {
     /// Offset added to the `minted` counter when minting submission ids,
     /// so a restarted server can keep ids unique across process
     /// lifetimes (WAL recovery hands the floor in via
-    /// [`PreemptiveEngine::with_first_id`]). The counters themselves stay
+    /// [`Engine::with_first_id`]). The counters themselves stay
     /// zero-based: `pending()`/`submitted_count()` count this pool's own
     /// jobs regardless of where the id space starts.
     id_base: u64,
+    /// Outcomes produced so far (including failures).
     completed: AtomicU64,
     /// Jobs currently executing a slice on some worker.
     in_flight: AtomicUsize,
-    metrics: Option<PreemptMetrics>,
+    /// Registry handles; `None` when the engine's metrics plane is off.
+    metrics: Option<EngineMetrics>,
 }
 
-impl<T> PShared<T> {
+impl<T> Shared<T> {
+    /// Advance the logical clock and return the new stamp.
     fn tick(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
@@ -165,42 +205,51 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// `completed == submitted` implies every outcome was also routed (the
 /// drain invariant the serving layer waits on).
 fn finish<T>(
-    shared: &PShared<T>,
+    shared: &Shared<T>,
     results: &Sender<JobOutcome<T>>,
-    job: PJob<T>,
+    job: Job<T>,
     result: Result<T, JobError>,
 ) {
     let finished_tick = shared.tick();
     {
-        let mut st = shared.sched.lock().expect("preemptive sched lock");
+        let mut st = shared.sched.lock().expect("engine sched lock");
         st.cancelled.remove(&job.id);
         st.live.remove(&job.id);
     }
+    let timing = JobTiming {
+        enqueued: job.enqueued,
+        started: job.started.unwrap_or(finished_tick),
+        finished: finished_tick,
+    };
     if let Some(m) = &shared.metrics {
-        if matches!(result, Err(JobError::Cancelled)) {
-            m.cancelled.inc();
+        m.completed.inc();
+        match result {
+            Err(JobError::Panicked(_)) => m.panicked.inc(),
+            Err(JobError::Watchdog { .. }) => m.watchdog.inc(),
+            Err(JobError::Cancelled) => m.cancelled.inc(),
+            _ => {}
         }
+        m.wait_ticks.observe(timing.wait_ticks());
+        m.run_ticks.observe(timing.run_ticks());
     }
+    // A send failure means the handle (and its receiver) is gone —
+    // nobody wants the outcome anymore.
     let _ = results.send(JobOutcome {
         id: job.id,
         label: job.label,
         result,
         wall: job.wall,
-        timing: JobTiming {
-            enqueued: job.enqueued,
-            started: job.started.unwrap_or(finished_tick),
-            finished: finished_tick,
-        },
+        timing,
     });
     shared.completed.fetch_add(1, Ordering::Release);
 }
 
-fn preemptive_worker<T>(shared: &PShared<T>, results: &Sender<JobOutcome<T>>) {
+fn worker<T>(shared: &Shared<T>, results: &Sender<JobOutcome<T>>) {
     loop {
         // Pick the next slice to run; `was_cancelled` covers jobs whose
         // cancellation arrived while they sat queued.
         let (mut job, was_cancelled) = {
-            let mut st = shared.sched.lock().expect("preemptive sched lock");
+            let mut st = shared.sched.lock().expect("engine sched lock");
             loop {
                 if let Some(job) = st.pick() {
                     let cancelled = st.cancelled.contains(&job.id);
@@ -209,9 +258,12 @@ fn preemptive_worker<T>(shared: &PShared<T>, results: &Sender<JobOutcome<T>>) {
                 if st.shutdown {
                     return;
                 }
-                st = shared.available.wait(st).expect("preemptive sched lock");
+                st = shared.available.wait(st).expect("engine sched lock");
             }
         };
+        if let Some(m) = &shared.metrics {
+            m.queue_depth.dec();
+        }
         if was_cancelled {
             finish(shared, results, job, Err(JobError::Cancelled));
             continue;
@@ -220,6 +272,9 @@ fn preemptive_worker<T>(shared: &PShared<T>, results: &Sender<JobOutcome<T>>) {
             job.started = Some(shared.tick());
         }
         shared.in_flight.fetch_add(1, Ordering::Release);
+        if let Some(m) = &shared.metrics {
+            m.busy_workers.inc();
+        }
         let slice_start = Instant::now();
         let index = job.slices;
         let slice = catch_unwind(AssertUnwindSafe(|| (job.work)(index)));
@@ -227,6 +282,7 @@ fn preemptive_worker<T>(shared: &PShared<T>, results: &Sender<JobOutcome<T>>) {
         job.slices += 1;
         shared.in_flight.fetch_sub(1, Ordering::Release);
         if let Some(m) = &shared.metrics {
+            m.busy_workers.dec();
             m.quanta.inc();
         }
         match slice {
@@ -245,14 +301,14 @@ fn preemptive_worker<T>(shared: &PShared<T>, results: &Sender<JobOutcome<T>>) {
                 }
                 // Cancellation requested while the slice ran wins over
                 // requeueing: the job stops at this quantum boundary.
-                let cancelled = {
-                    let st = shared.sched.lock().expect("preemptive sched lock");
-                    st.cancelled.contains(&job.id)
-                };
-                if cancelled {
+                let mut st = shared.sched.lock().expect("engine sched lock");
+                if st.cancelled.contains(&job.id) {
+                    drop(st);
                     finish(shared, results, job, Err(JobError::Cancelled));
                 } else {
-                    let mut st = shared.sched.lock().expect("preemptive sched lock");
+                    if let Some(m) = &shared.metrics {
+                        m.queue_depth.inc();
+                    }
                     st.enqueue(job);
                     drop(st);
                     shared.available.notify_one();
@@ -262,22 +318,28 @@ fn preemptive_worker<T>(shared: &PShared<T>, results: &Sender<JobOutcome<T>>) {
     }
 }
 
-/// Configuration of a preemptive worker pool (see the module docs).
+/// Engine configuration: how many OS worker threads the pool runs, where
+/// it publishes metrics, and where its submission ids start.
+///
+/// The engine provides *inter-run* parallelism — many independent
+/// simulator runs at once. (Intra-run parallelism over a single dispatch's
+/// CUs is the simulator's own `SystemConfig::with_workers` knob; both
+/// layers are deterministic, so composing them never changes results.)
 #[derive(Debug, Clone)]
-pub struct PreemptiveEngine {
+pub struct Engine {
     workers: usize,
     metrics: bool,
     registry: Option<Registry>,
     first_id: u64,
 }
 
-impl PreemptiveEngine {
+impl Engine {
     /// An engine with `workers` pool threads; `0` means one per available
-    /// core. The metrics plane is on, publishing to the process-global
-    /// registry.
+    /// core ([`default_workers`]). The metrics plane is on, publishing to
+    /// the process-global registry.
     #[must_use]
-    pub fn new(workers: usize) -> PreemptiveEngine {
-        PreemptiveEngine {
+    pub fn new(workers: usize) -> Engine {
+        Engine {
             workers: if workers == 0 {
                 default_workers()
             } else {
@@ -295,10 +357,11 @@ impl PreemptiveEngine {
         self.workers
     }
 
-    /// Builder-style switch for the scheduler's metrics (quantum,
-    /// preemption and cancellation counters). On by default.
+    /// Builder-style switch for the pool's metrics (job, quantum,
+    /// preemption and cancellation counters, queue-depth and busy-worker
+    /// gauges, wait/run histograms). On by default.
     #[must_use]
-    pub fn with_metrics(mut self, metrics: bool) -> PreemptiveEngine {
+    pub fn with_metrics(mut self, metrics: bool) -> Engine {
         self.metrics = metrics;
         self
     }
@@ -306,7 +369,7 @@ impl PreemptiveEngine {
     /// Publish into `registry` instead of the process-global
     /// [`scratch_metrics::global`] registry (hermetic tests).
     #[must_use]
-    pub fn with_registry(mut self, registry: Registry) -> PreemptiveEngine {
+    pub fn with_registry(mut self, registry: Registry) -> Engine {
         self.registry = Some(registry);
         self
     }
@@ -316,23 +379,23 @@ impl PreemptiveEngine {
     /// log ever issued, so restarted processes never reuse an id a client
     /// (or a completion record) has already seen.
     #[must_use]
-    pub fn with_first_id(mut self, first_id: u64) -> PreemptiveEngine {
+    pub fn with_first_id(mut self, first_id: u64) -> Engine {
         self.first_id = first_id;
         self
     }
 
     /// Spin up the pool and return the submission handle.
     #[must_use]
-    pub fn start<T: Send + 'static>(&self) -> PreemptiveHandle<T> {
+    pub fn start<T: Send + 'static>(&self) -> EngineHandle<T> {
         let metrics = self.metrics.then(|| {
             let registry = self
                 .registry
                 .clone()
                 .unwrap_or_else(|| scratch_metrics::global().clone());
-            PreemptMetrics::new(&registry)
+            EngineMetrics::new(&registry)
         });
-        let shared = Arc::new(PShared {
-            sched: Mutex::new(PSched {
+        let shared = Arc::new(Shared {
+            sched: Mutex::new(Sched {
                 queues: Vec::new(),
                 rr: 0,
                 cancelled: HashSet::new(),
@@ -354,44 +417,68 @@ impl PreemptiveEngine {
                 let shared = Arc::clone(&shared);
                 let tx = tx.clone();
                 std::thread::Builder::new()
-                    .name(format!("scratch-preempt-{i}"))
-                    .spawn(move || preemptive_worker(&shared, &tx))
-                    .expect("spawn preemptive worker")
+                    .name(format!("scratch-engine-{i}"))
+                    .spawn(move || worker(&shared, &tx))
+                    .expect("spawn engine worker")
             })
             .collect();
-        PreemptiveHandle {
+        EngineHandle {
             shared,
             threads,
             results: Mutex::new(rx),
             received: AtomicU64::new(0),
         }
     }
-}
 
-impl Default for PreemptiveEngine {
-    /// One worker per available core.
-    fn default() -> PreemptiveEngine {
-        PreemptiveEngine::new(0)
+    /// Run a whole batch to completion and return the outcomes sorted by
+    /// submission id — deterministic output order regardless of which
+    /// worker finished which job first. Each job is a one-slice job under
+    /// one tenant, so the tenant's FIFO picks them up in submission order.
+    pub fn run_batch<T, F, L>(&self, jobs: impl IntoIterator<Item = (L, F)>) -> Vec<JobOutcome<T>>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> Result<T, JobError> + Send + 'static,
+        L: Into<String>,
+    {
+        let handle = self.start();
+        for (label, work) in jobs {
+            let mut work = Some(work);
+            handle.submit("batch", label, move |_| {
+                Slice::Done(work.take().expect("a one-slice job runs once")())
+            });
+        }
+        handle.join()
     }
 }
 
-/// A running preemptive pool: submit sliced jobs under a tenant, cancel
-/// them, stream their outcomes.
+impl Default for Engine {
+    /// One worker per available core.
+    fn default() -> Engine {
+        Engine::new(0)
+    }
+}
+
+/// A running pool: submit sliced jobs under a tenant, cancel them, stream
+/// their outcomes, join.
+///
+/// Submission takes `&self` and the handle is `Sync`, so many threads can
+/// push jobs into one shared pool concurrently (e.g. the serving layer's
+/// connection handlers); ids still come out strictly in minting order.
 ///
 /// Dropping the handle shuts the pool down gracefully: already-queued
-/// jobs still run (slice by slice) and the workers are joined. A job that
-/// yields forever would hang that shutdown — slice closures are expected
-/// to bound their own total work, as the serving layer's watchdog-limited
-/// checkpoint slices do.
-pub struct PreemptiveHandle<T> {
-    shared: Arc<PShared<T>>,
+/// jobs still run (slice by slice), their outcomes are discarded, and the
+/// workers are joined. A job that yields forever would hang that
+/// shutdown — slice closures are expected to bound their own total work,
+/// as the serving layer's watchdog-limited checkpoint slices do.
+pub struct EngineHandle<T> {
+    shared: Arc<Shared<T>>,
     threads: Vec<JoinHandle<()>>,
     results: Mutex<Receiver<JobOutcome<T>>>,
     received: AtomicU64,
 }
 
-impl<T: Send + 'static> PreemptiveHandle<T> {
-    /// Queue a preemptible job under `tenant`; returns its submission id.
+impl<T: Send + 'static> EngineHandle<T> {
+    /// Queue a job under `tenant`; returns its submission id.
     ///
     /// `work` is called once per quantum with the 0-based slice index; it
     /// returns [`Slice::Yield`] to be rescheduled after other tenants'
@@ -429,10 +516,14 @@ impl<T: Send + 'static> PreemptiveHandle<T> {
     {
         self.shared.submitted.fetch_add(1, Ordering::AcqRel);
         let enqueued = self.shared.tick();
+        if let Some(m) = &self.shared.metrics {
+            m.submitted.inc();
+            m.queue_depth.inc();
+        }
         {
-            let mut st = self.shared.sched.lock().expect("preemptive sched lock");
+            let mut st = self.shared.sched.lock().expect("engine sched lock");
             st.live.insert(id);
-            st.enqueue(PJob {
+            st.enqueue(Job {
                 id,
                 label: label.into(),
                 tenant: tenant.into(),
@@ -452,27 +543,27 @@ impl<T: Send + 'static> PreemptiveHandle<T> {
     /// [`JobError::Cancelled`]. Returns `false` when the job is unknown
     /// or its outcome was already produced (too late to cancel).
     pub fn cancel(&self, id: u64) -> bool {
-        let live = {
-            let mut st = self.shared.sched.lock().expect("preemptive sched lock");
+        {
+            let mut st = self.shared.sched.lock().expect("engine sched lock");
             if !st.live.contains(&id) {
                 return false;
             }
             st.cancelled.insert(id);
-            true
-        };
+        }
         // Wake the pool so idle workers reap queued cancellations promptly.
         self.shared.available.notify_all();
-        live
+        true
     }
 
-    /// Receive the next completed outcome, blocking until one is ready.
-    /// Returns `None` once every submitted job's outcome was received.
+    /// Receive the next completed outcome, in completion order, blocking
+    /// until one is ready. Returns `None` once every submitted job's
+    /// outcome was received.
     pub fn recv(&mut self) -> Option<JobOutcome<T>> {
-        let rx = self.results.lock().expect("preemptive results lock");
+        let rx = self.results.lock().expect("engine results lock");
         if self.received.load(Ordering::Acquire) >= self.submitted_count() {
             return None;
         }
-        let outcome = rx.recv().expect("preemptive workers outlive the handle");
+        let outcome = rx.recv().expect("engine workers outlive the handle");
         self.received.fetch_add(1, Ordering::AcqRel);
         Some(outcome)
     }
@@ -483,15 +574,6 @@ impl<T: Send + 'static> PreemptiveHandle<T> {
     pub fn recv_timeout(&self, timeout: Duration) -> Option<JobOutcome<T>> {
         let rx = self.results.try_lock().ok()?;
         let outcome = rx.recv_timeout(timeout).ok()?;
-        self.received.fetch_add(1, Ordering::AcqRel);
-        Some(outcome)
-    }
-
-    /// Receive the next completed outcome if one is already waiting,
-    /// without blocking.
-    pub fn try_recv(&self) -> Option<JobOutcome<T>> {
-        let rx = self.results.try_lock().ok()?;
-        let outcome = rx.try_recv().ok()?;
         self.received.fetch_add(1, Ordering::AcqRel);
         Some(outcome)
     }
@@ -518,13 +600,14 @@ impl<T: Send + 'static> PreemptiveHandle<T> {
     }
 
     /// Jobs parked in tenant queues right now (between slices or not yet
-    /// started).
+    /// started). Together with [`in_flight`](Self::in_flight) this is the
+    /// backlog an admission controller bounds.
     #[must_use]
     pub fn queue_depth(&self) -> usize {
         self.shared
             .sched
             .lock()
-            .expect("preemptive sched lock")
+            .expect("engine sched lock")
             .queued()
     }
 
@@ -539,7 +622,7 @@ impl<T: Send + 'static> PreemptiveHandle<T> {
     /// whose queue is currently empty still appear (with 0).
     #[must_use]
     pub fn tenant_queue_depths(&self) -> Vec<(String, usize)> {
-        let sched = self.shared.sched.lock().expect("preemptive sched lock");
+        let sched = self.shared.sched.lock().expect("engine sched lock");
         sched
             .queues
             .iter()
@@ -557,10 +640,11 @@ impl<T: Send + 'static> PreemptiveHandle<T> {
         }
         out.sort_by_key(|o| o.id);
         out
+        // Drop shuts the (now idle) pool down.
     }
 }
 
-impl<T> Drop for PreemptiveHandle<T> {
+impl<T> Drop for EngineHandle<T> {
     fn drop(&mut self) {
         if let Ok(mut st) = self.shared.sched.lock() {
             st.shutdown = true;
@@ -582,8 +666,8 @@ mod tests {
         // One worker, two tenants. Both jobs idle-yield until released,
         // then log three real slices each: the scheduler must alternate
         // tenants strictly once both are queued.
-        let engine = PreemptiveEngine::new(1).with_metrics(false);
-        let handle: PreemptiveHandle<Vec<&'static str>> = engine.start();
+        let engine = Engine::new(1).with_metrics(false);
+        let handle: EngineHandle<Vec<&'static str>> = engine.start();
         let go = Arc::new(AtomicBool::new(false));
         let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
         for tenant in ["alice", "bob"] {
@@ -635,10 +719,8 @@ mod tests {
 
     #[test]
     fn first_id_offsets_minted_ids_without_breaking_counts() {
-        let engine = PreemptiveEngine::new(1)
-            .with_metrics(false)
-            .with_first_id(1000);
-        let mut handle: PreemptiveHandle<u64> = engine.start();
+        let engine = Engine::new(1).with_metrics(false).with_first_id(1000);
+        let mut handle: EngineHandle<u64> = engine.start();
         let a = handle.submit("t", "a", |_| Slice::Done(Ok(1)));
         let b = handle.submit("t", "b", |_| Slice::Done(Ok(2)));
         assert_eq!(a, 1000, "ids start at the recovered floor");
@@ -654,8 +736,8 @@ mod tests {
 
     #[test]
     fn cancel_reaps_queued_and_running_jobs() {
-        let engine = PreemptiveEngine::new(1).with_metrics(false);
-        let handle: PreemptiveHandle<u32> = engine.start();
+        let engine = Engine::new(1).with_metrics(false);
+        let handle: EngineHandle<u32> = engine.start();
         // A long job that yields at every quantum (bounded as a safety
         // net, far beyond what the test needs).
         let long = handle.submit("t", "long", move |i| {
@@ -685,8 +767,8 @@ mod tests {
 
     #[test]
     fn completed_jobs_are_not_cancellable() {
-        let engine = PreemptiveEngine::new(1).with_metrics(false);
-        let handle: PreemptiveHandle<u32> = engine.start();
+        let engine = Engine::new(1).with_metrics(false);
+        let handle: EngineHandle<u32> = engine.start();
         let id = handle.submit("t", "quick", |_| Slice::Done(Ok(1)));
         while handle.completed_count() == 0 {
             std::thread::sleep(Duration::from_millis(1));
@@ -699,8 +781,8 @@ mod tests {
     #[test]
     fn metrics_count_quanta_preemptions_and_cancellations() {
         let registry = Registry::new();
-        let engine = PreemptiveEngine::new(1).with_registry(registry.clone());
-        let handle: PreemptiveHandle<u32> = engine.start();
+        let engine = Engine::new(1).with_registry(registry.clone());
+        let handle: EngineHandle<u32> = engine.start();
         handle.submit("t", "three-slices", |i| {
             if i < 2 {
                 Slice::Yield
@@ -711,22 +793,39 @@ mod tests {
         let victim = handle.submit("t", "victim", |_| Slice::Yield);
         assert!(handle.cancel(victim));
         let _ = handle.join();
-        let quanta = registry.counter("scratch_preempt_quanta_total", "").get();
-        let preemptions = registry
-            .counter("scratch_preempt_preemptions_total", "")
-            .get();
-        let cancelled = registry
-            .counter("scratch_preempt_cancelled_total", "")
-            .get();
+        let snap = registry.snapshot();
+        let quanta = snap.counter("scratch_preempt_quanta_total", &[]).unwrap();
+        let preemptions = snap
+            .counter("scratch_preempt_preemptions_total", &[])
+            .unwrap();
         assert!(quanta >= 3, "quanta {quanta}");
         assert!(preemptions >= 2, "preemptions {preemptions}");
-        assert_eq!(cancelled, 1);
+        assert_eq!(
+            snap.counter("scratch_preempt_cancelled_total", &[]),
+            Some(1)
+        );
+        // The job family counts each job once, however many slices it
+        // took, and the gauges settle back to zero.
+        assert_eq!(
+            snap.counter("scratch_engine_jobs_submitted_total", &[]),
+            Some(2)
+        );
+        assert_eq!(
+            snap.counter("scratch_engine_jobs_completed_total", &[]),
+            Some(2)
+        );
+        assert_eq!(snap.gauge("scratch_engine_queue_depth", &[]), Some(0.0));
+        assert_eq!(snap.gauge("scratch_engine_busy_workers", &[]), Some(0.0));
+        let run = snap
+            .histogram("scratch_engine_job_run_ticks", &[])
+            .expect("run histogram registered");
+        assert_eq!(run.count(), 2);
     }
 
     #[test]
     fn panicking_slice_is_isolated() {
-        let engine = PreemptiveEngine::new(2).with_metrics(false);
-        let handle: PreemptiveHandle<u32> = engine.start();
+        let engine = Engine::new(2).with_metrics(false);
+        let handle: EngineHandle<u32> = engine.start();
         handle.submit("t", "bad", |i| {
             if i == 1 {
                 panic!("slice two exploded");

@@ -1,10 +1,11 @@
 //! Engine queue semantics: panic isolation, deterministic batch ordering,
-//! and streaming outcomes.
+//! and streaming outcomes. Batches are one-slice jobs under one tenant,
+//! so these hold for the same pool the serving layer slices.
 
 use std::time::Duration;
 
 use scratch_asm::KernelBuilder;
-use scratch_engine::{default_workers, Engine, JobError, KernelJob};
+use scratch_engine::{default_workers, Engine, JobError, KernelJob, Slice};
 use scratch_metrics::Registry;
 use scratch_system::{SystemConfig, SystemError, SystemKind};
 
@@ -19,15 +20,15 @@ fn noop_kernel() -> scratch_asm::Kernel {
 fn a_panicking_job_never_kills_the_queue() {
     let mut handle = Engine::new(2).start::<u32>();
     for i in 0..5u32 {
-        handle.submit(format!("job-{i}"), move || {
+        handle.submit("t", format!("job-{i}"), move |_| {
             if i == 2 {
                 panic!("poisoned job {i}");
             }
-            Ok(i * 10)
+            Slice::Done(Ok(i * 10))
         });
     }
     // The queue survives the panic: jobs submitted afterwards still run.
-    handle.submit("after-the-panic", || Ok(999));
+    handle.submit("t", "after-the-panic", |_| Slice::Done(Ok(999)));
     let mut outcomes = Vec::new();
     while let Some(o) = handle.recv() {
         outcomes.push(o);
@@ -67,10 +68,10 @@ fn outcomes_stream_as_jobs_complete() {
     let mut handle = Engine::new(1).start::<&'static str>();
     assert_eq!(handle.pending(), 0);
     assert!(handle.recv().is_none(), "no jobs, no blocking");
-    handle.submit("first", || Ok("a"));
-    handle.submit("second", || Ok("b"));
+    handle.submit("t", "first", |_| Slice::Done(Ok("a")));
+    handle.submit("t", "second", |_| Slice::Done(Ok("b")));
     assert_eq!(handle.pending(), 2);
-    // One worker runs the queue FIFO, so streaming order is deterministic
+    // One worker runs a tenant's queue FIFO, so streaming order is deterministic
     // here: results arrive one at a time as each job finishes.
     let first = handle.recv().expect("first outcome streams out");
     assert_eq!(first.result, Ok("a"));
@@ -152,6 +153,12 @@ fn pool_metrics_count_jobs_and_panics() {
         snap.counter("scratch_engine_jobs_panicked_total", &[]),
         Some(1)
     );
+    // Batch jobs are one-slice jobs: one quantum each, never preempted.
+    assert_eq!(snap.counter("scratch_preempt_quanta_total", &[]), Some(5));
+    assert_eq!(
+        snap.counter("scratch_preempt_preemptions_total", &[]),
+        Some(0)
+    );
     // The batch drained: both gauges are back to zero.
     assert_eq!(snap.gauge("scratch_engine_queue_depth", &[]), Some(0.0));
     assert_eq!(snap.gauge("scratch_engine_busy_workers", &[]), Some(0.0));
@@ -176,9 +183,9 @@ fn metrics_off_registers_nothing() {
 fn dropping_a_handle_with_queued_jobs_is_graceful() {
     let handle = Engine::new(1).start::<u8>();
     for _ in 0..8 {
-        handle.submit("queued", || {
+        handle.submit("t", "queued", |_| {
             std::thread::sleep(Duration::from_millis(5));
-            Ok(1)
+            Slice::Done(Ok(1))
         });
     }
     drop(handle); // must not hang or panic; queued jobs drain or are dropped

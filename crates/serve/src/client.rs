@@ -8,11 +8,13 @@
 //! socket.
 
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::protocol::{JobDone, Rejection, Request, Response, StatsReply, SubmitRequest, TopReply};
+use crate::protocol::{
+    write_line, JobDone, Rejection, Request, Response, StatsReply, SubmitRequest, TopReply,
+};
 
 /// A connected protocol client.
 pub struct ServeClient {
@@ -55,9 +57,7 @@ impl ServeClient {
     fn send(&mut self, request: &Request) -> io::Result<()> {
         let line = serde_json::to_string(request)
             .map_err(|e| bad_data(format!("serialize request: {e}")))?;
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()
+        write_line(&mut self.stream, line)
     }
 
     fn recv(&mut self) -> io::Result<Response> {

@@ -30,6 +30,7 @@
 //! refused: a line that carries one is answered with [`Response::Error`].
 
 use std::fmt;
+use std::io::{self, Write};
 
 use serde::{DeError, Deserialize, Map, Serialize, Value};
 
@@ -379,6 +380,17 @@ pub fn fnv1a(words: &[u32]) -> u64 {
     hash
 }
 
+/// Send one protocol message: `line` plus its terminating newline in a
+/// single `write_all`, so a message is one `write(2)` on the
+/// `TCP_NODELAY` sockets both ends use rather than a line segment and a
+/// one-byte newline segment. The daemon's writer thread and
+/// [`ServeClient`](crate::ServeClient) both frame through it.
+pub(crate) fn write_line(w: &mut impl Write, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
+    w.flush()
+}
+
 /// The base64 alphabet of RFC 4648 §4 (standard, not URL-safe).
 const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
@@ -689,6 +701,35 @@ impl Deserialize for JobDone {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct Recording {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for Recording {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_message_is_one_write() {
+        let mut sink = Recording::default();
+        write_line(&mut sink, "{\"Ping\":null}".to_owned()).unwrap();
+        write_line(&mut sink, String::new()).unwrap();
+        assert_eq!(
+            sink.writes,
+            vec![b"{\"Ping\":null}\n".to_vec(), b"\n".to_vec()],
+            "one write per message, newline included"
+        );
+    }
 
     #[test]
     fn fnv1a_is_order_sensitive() {

@@ -38,7 +38,7 @@
 //! off" from "give up".
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -46,20 +46,19 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use scratch_engine::{JobError, JobOutcome, PreemptiveEngine, PreemptiveHandle, Slice};
+use scratch_engine::{Engine, EngineHandle, JobError, JobOutcome, Slice};
 use scratch_metrics::{Counter, Gauge, Histogram, Registry};
 use scratch_profile::{
     InstrSignature, JobSpans, SloSnapshot, SloWindow, SpanKind, SpanRecorder, SpanTrack,
 };
 use scratch_system::{
-    CuError, DispatchProgress, ExecMode, System, SystemCheckpoint, SystemConfig, SystemError,
-    SystemKind,
+    DispatchProgress, ExecMode, System, SystemCheckpoint, SystemConfig, SystemError, SystemKind,
 };
 use scratch_wal::{CrashOnAppend, PendingEntry, Record, RecoveryReport, Wal, WalConfig};
 
 use crate::protocol::{
-    fnv1a, JobDone, RejectReason, Rejection, Request, Response, StatsReply, SubmitRequest,
-    TenantStats, TenantTop, TopReply,
+    fnv1a, write_line, JobDone, RejectReason, Rejection, Request, Response, StatsReply,
+    SubmitRequest, TenantStats, TenantTop, TopReply,
 };
 use crate::quota::TokenBucket;
 
@@ -457,7 +456,7 @@ enum Origin {
 struct Inner {
     config: ServeConfig,
     registry: Registry,
-    engine: PreemptiveHandle<JobResult>,
+    engine: EngineHandle<JobResult>,
     metrics: ServeMetrics,
     snap: SnapMetrics,
     tenants: Mutex<BTreeMap<String, Tenant>>,
@@ -1206,7 +1205,9 @@ fn build_signature(req: &SubmitRequest, kind: SystemKind, sys: &System) -> Optio
 /// `scratch-system` run exactly (same allocation order, same argument
 /// convention); later slices rebuild it from the carried checkpoint
 /// bytes. Checkpoint/restore is bit-identical, so sliced served results
-/// match offline execution.
+/// match offline execution. Fast tiers have no cycle-accurate state to
+/// checkpoint (`SnapError::UnsupportedExecMode`), so a job that doesn't
+/// need cycle counts runs whole in its first slice with a plain dispatch.
 #[allow(clippy::too_many_arguments)]
 fn run_slice(
     req: &SubmitRequest,
@@ -1222,76 +1223,39 @@ fn run_slice(
     track: Option<&SpanTrack>,
     snap_us: &mut u64,
 ) -> Result<SliceStep, String> {
-    let map_err = |e: SystemError| match e {
-        SystemError::Cu(CuError::CycleLimit { .. }) => {
-            format!("watchdog: job exceeded its {watchdog}-cycle budget")
-        }
-        other => other.to_string(),
-    };
     let mark = |kind: SpanKind| {
         if let Some(t) = track {
             t.mark(kind);
         }
     };
     let exec = req.exec_mode().map_err(|e| e.to_string())?;
-    if exec != ExecMode::Cycle {
-        // Fast tiers have no cycle-accurate state to checkpoint
-        // (`SnapError::UnsupportedExecMode`), so jobs that don't need
-        // cycle counts run whole in a single slice with a plain dispatch
-        // instead of the preemptible quantum loop.
-        mark(SpanKind::Run);
-        let mut config = SystemConfig::preset(kind)
-            .with_registry(registry.clone())
-            .with_exec(exec)
-            .with_profile(profile);
-        config.cu.cycle_limit = config.cu.cycle_limit.min(watchdog.max(1));
-        let mut sys = System::new(config, &req.kernel).map_err(map_err)?;
-        sys.set_job_id(job);
-        let out = sys.alloc(req.out_bytes.max(4));
-        let mut args = vec![u32::try_from(out).unwrap_or(0)];
-        if !req.input.is_empty() {
-            let inp = sys.alloc_words(&req.input);
-            args.push(u32::try_from(inp).unwrap_or(0));
-        }
-        sys.set_args(&args);
-        *out_addr = out;
-        sys.dispatch(req.grid).map_err(map_err)?;
-        let report = sys.report();
-        let words = sys.read_words(
-            *out_addr,
-            usize::try_from(req.out_bytes.max(4) / 4).unwrap_or(0),
-        );
-        let signature = profile.then(|| build_signature(req, kind, &sys)).flatten();
-        mark(SpanKind::Reply);
-        return Ok(SliceStep::Finished {
-            cycles: report.cu_cycles,
-            instructions: report.instructions(),
-            words,
-            signature,
-        });
-    }
-    let mut sys;
-    let progress = match carried {
+    let mut config = SystemConfig::preset(kind)
+        .with_registry(registry.clone())
+        .with_exec(exec)
+        .with_profile(profile);
+    let watched = scratch_engine::watchdog(&mut config, watchdog);
+    let map_err = |e: SystemError| match watched(e) {
+        JobError::System(e) => e.to_string(),
+        tripped => tripped.to_string(),
+    };
+    let (sys, progress) = match carried {
         Some(bytes) => {
             mark(SpanKind::Restore);
             let resume_start = Instant::now();
             let ck: SystemCheckpoint = scratch_snap::from_bytes(&bytes)
                 .map_err(|e| format!("checkpoint decode failed: {e}"))?;
-            sys = System::restore(&ck, Some(registry.clone())).map_err(map_err)?;
+            let mut sys = System::restore(&ck, Some(registry.clone())).map_err(map_err)?;
             sys.set_job_id(job);
             let restore_us = micros(resume_start.elapsed());
             snap.resume_us.observe(restore_us);
             *snap_us += restore_us;
             mark(SpanKind::Run);
-            sys.resume_dispatch(quantum).map_err(map_err)?
+            let progress = sys.resume_dispatch(quantum).map_err(map_err)?;
+            (sys, progress)
         }
         None => {
             mark(SpanKind::Run);
-            let mut config = SystemConfig::preset(kind)
-                .with_registry(registry.clone())
-                .with_profile(profile);
-            config.cu.cycle_limit = config.cu.cycle_limit.min(watchdog.max(1));
-            sys = System::new(config, &req.kernel).map_err(map_err)?;
+            let mut sys = System::new(config, &req.kernel).map_err(map_err)?;
             sys.set_job_id(job);
             let out = sys.alloc(req.out_bytes.max(4));
             let mut args = vec![u32::try_from(out).unwrap_or(0)];
@@ -1301,8 +1265,13 @@ fn run_slice(
             }
             sys.set_args(&args);
             *out_addr = out;
-            sys.dispatch_preemptible(req.grid, quantum)
-                .map_err(map_err)?
+            let progress = if exec == ExecMode::Cycle {
+                sys.dispatch_preemptible(req.grid, quantum)
+            } else {
+                sys.dispatch(req.grid)
+                    .map(|cycles| DispatchProgress::Complete { cycles })
+            };
+            (sys, progress.map_err(map_err)?)
         }
     };
     match progress {
@@ -1423,7 +1392,7 @@ impl Server {
             None => None,
         };
         let first_id = recovered.as_ref().map_or(0, |r| r.next_id);
-        let engine = PreemptiveEngine::new(config.workers)
+        let engine = Engine::new(config.workers)
             .with_registry(registry.clone())
             .with_first_id(first_id)
             .start();
@@ -1593,7 +1562,7 @@ impl Server {
             let _ = t.join();
         }
         stats
-        // Dropping `inner` (last Arc) drops the PreemptiveHandle, which
+        // Dropping `inner` (last Arc) drops the EngineHandle, which
         // shuts down and joins the now-idle pool workers.
     }
 }
@@ -1618,10 +1587,7 @@ fn connection(inner: &Arc<Inner>, stream: TcpStream) {
         .spawn(move || {
             let mut stream = write_half;
             while let Ok(line) = rx.recv() {
-                if stream.write_all(line.as_bytes()).is_err()
-                    || stream.write_all(b"\n").is_err()
-                    || stream.flush().is_err()
-                {
+                if write_line(&mut stream, line).is_err() {
                     break; // client gone; drain silently until senders drop
                 }
             }

@@ -7,7 +7,7 @@
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 
-use scratch::engine::{Engine, JobError, PreemptiveEngine, Slice};
+use scratch::engine::{Engine, JobError, Slice};
 use scratch::kernels::{vec_ops::MatrixAdd, Benchmark};
 use scratch::metrics::{MetricsServer, Registry};
 use scratch::system::{SystemConfig, SystemKind};
@@ -105,7 +105,7 @@ fn scraping_after_a_dispatch_sees_every_layer() {
 #[test]
 fn preemptive_slicing_publishes_to_the_scrape_path() {
     let registry = Registry::new();
-    let engine = PreemptiveEngine::new(1)
+    let engine = Engine::new(1)
         .with_registry(registry.clone())
         .start();
 
