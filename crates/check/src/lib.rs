@@ -20,7 +20,7 @@
 //!   assembler/disassembler round-trip, uninterrupted vs
 //!   checkpoint/restored preemptible dispatch, and cycle pipeline vs the
 //!   block-compiled fast execution tier;
-//! * [`minimize`] — tree-based shrinking of any divergence to a small
+//! * [`minimize`](fn@minimize) — tree-based shrinking of any divergence to a small
 //!   self-contained repro ([`Divergence`]).
 //!
 //! # Examples

@@ -9,10 +9,10 @@
 //! rather than the FPGA's table-driven approximations.
 //!
 //! This module is the *functional* half of the functional/timing split: the
-//! cycle pipeline ([`crate::ComputeUnit`]) calls [`execute`] when an
+//! cycle pipeline ([`crate::ComputeUnit`]) calls [`execute`](crate::func::execute) when an
 //! instruction issues and charges its cost separately, while the
 //! `scratch-fastpath` block-compiled executor calls the same entry points
-//! (plus the [`lanewise`]/[`compare`] primitives for its specialised
+//! (plus the [`lanewise`](crate::func::lanewise)/[`compare`](crate::func::compare) primitives for its specialised
 //! closures) without any timing machinery. Both tiers therefore share one
 //! source of truth for architectural state transitions.
 

@@ -3,10 +3,12 @@
 //!
 //! The driver runs a real serve daemon *as a child process* (so it can be
 //! SIGKILLed mid-anything), drives seeded load at it with reconnecting
-//! clients, kills it at seeded random points — including mid-append, via
-//! the `SCRATCH_WAL_CRASH` torn-write hook — restarts it against the same
-//! `--wal-dir`, and finally audits the surviving log against the invariant
-//! a production inference stack needs from in-flight request recovery:
+//! clients, and ends each lifetime while jobs are in flight: a SIGKILL
+//! right after a seeded number of admissions were acked, or the abort of
+//! the `SCRATCH_WAL_CRASH` torn-write hook mid-append. It restarts the
+//! daemon against the same `--wal-dir` each time, and finally audits the
+//! surviving log against the invariant a production inference stack needs
+//! from in-flight request recovery:
 //!
 //! * **Exactly-once** — every acked admission completes exactly once
 //!   (one completion record per id, no duplicates, no losses);
@@ -17,17 +19,21 @@
 //!   admitted, and no client ever receives a `Done` for a job it was not
 //!   acked.
 //!
+//! A campaign in which no restart replayed a job tested none of this, so
+//! it fails too ([`ChaosReport::ok`]).
+//!
 //! The whole campaign is deterministic in its *schedule* (kernels, kill
-//! delays, tear points all derive from [`ChaosPlan::seed`]); the precise
+//! points, tear points all derive from [`ChaosPlan::seed`]); the precise
 //! instruction the daemon dies on still varies run to run, which is the
 //! point — the invariant must hold for every interleaving.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io;
+use std::io::{self, BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -42,7 +48,7 @@ use crate::protocol::{fnv1a, SubmitRequest};
 /// The campaign schedule.
 #[derive(Debug, Clone)]
 pub struct ChaosPlan {
-    /// Seed for everything random: the kernel mix, kill delays, tear
+    /// Seed for everything random: the kernel mix, kill points, tear
     /// points.
     pub seed: u64,
     /// SIGKILL/restart cycles before the final drain cycle.
@@ -61,11 +67,14 @@ pub struct ChaosPlan {
     /// Preemption quantum handed to the daemon — small, so jobs slice and
     /// checkpoint records land in the log for recovery to resume from.
     pub quantum: u64,
-    /// Per-cycle uptime window `(min_ms, max_ms)` before the SIGKILL.
-    pub uptime_ms: (u64, u64),
+    /// Per-lifetime ack window `(min, max)`: a plain kill cycle SIGKILLs
+    /// the daemon right after a seeded number of admissions in this range
+    /// were acked in that lifetime, while those jobs are still in flight.
+    pub acks_per_lifetime: (u64, u64),
     /// Install the `SCRATCH_WAL_CRASH` mid-append tear-and-abort hook on
     /// every `n`-th kill cycle (0 = never): the daemon dies *inside* a
-    /// `write(2)`, leaving a torn frame exactly as a power cut would.
+    /// `write(2)`, leaving a torn frame exactly as a power cut would, and
+    /// that abort (not a SIGKILL) ends the lifetime.
     pub mid_append_every: u32,
     /// Command prefix that launches a serve daemon (binary plus any extra
     /// flags). The harness appends `--addr`, `--wal-dir` and `--quantum`
@@ -84,9 +93,7 @@ impl Default for ChaosPlan {
             addr: "127.0.0.1:7999".to_owned(),
             wal_dir: std::env::temp_dir().join("scratch-chaos-wal"),
             quantum: 400,
-            // Short lifetimes: the kill must land while jobs are in
-            // flight, or nothing ever needs replaying.
-            uptime_ms: (60, 350),
+            acks_per_lifetime: (4, 16),
             mid_append_every: 2,
             daemon: Vec::new(),
         }
@@ -104,6 +111,14 @@ pub struct ChaosReport {
     pub kills: u32,
     /// Cycles where the mid-append tear-and-abort hook was armed.
     pub mid_append_crashes: u32,
+    /// Jobs the restarted daemons' recoveries re-admitted from the log,
+    /// summed over every restart. Must be above 0: a campaign whose kills
+    /// never caught a job in flight did not exercise recovery.
+    pub replayed: u64,
+    /// Of [`replayed`](Self::replayed), jobs resumed from a checkpoint.
+    pub resumed: u64,
+    /// Recoveries that truncated a torn tail off the log.
+    pub torn_tails: u64,
     /// Distinct jobs in the campaign.
     pub jobs: u64,
     /// Distinct admissions acked to a client across all daemon lifetimes.
@@ -151,10 +166,11 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
-    /// `true` when every invariant held.
+    /// `true` when every invariant held and at least one recovery
+    /// replayed a job.
     #[must_use]
     pub fn ok(&self) -> bool {
-        self.exactly_once
+        self.exactly_once && self.replayed > 0
     }
 
     /// Multi-line human summary; the last line is the grep-stable
@@ -176,10 +192,17 @@ impl ChaosReport {
             self.resubmits,
             self.reconnects
         ));
-        let verdict = if self.exactly_once {
-            "chaos: exactly-once OK".to_owned()
+        s.push_str(&format!(
+            "chaos: recoveries replayed {} jobs ({} resumed from checkpoint), \
+             truncated {} torn tails\n",
+            self.replayed, self.resumed, self.torn_tails
+        ));
+        let verdict = if !self.exactly_once {
+            "chaos: exactly-once VIOLATED"
+        } else if self.replayed == 0 {
+            "chaos: exactly-once held but recovery NOT exercised (no job replayed)"
         } else {
-            "chaos: exactly-once VIOLATED".to_owned()
+            "chaos: exactly-once OK"
         };
         s.push_str(&format!(
             "{verdict} — {} duplicates, {} losses, {} digest mismatches, {} failed, \
@@ -283,6 +306,10 @@ struct Shared {
     acked: Mutex<BTreeMap<u64, usize>>,
     /// Spec indices acked at least once (resubmission detector).
     ever_acked: Mutex<BTreeSet<usize>>,
+    /// Admissions acked in the current daemon lifetime; the kill trigger
+    /// waits on `ack`.
+    lifetime_acks: Mutex<u64>,
+    ack: Condvar,
     stop: AtomicBool,
     resubmits: AtomicU64,
     reconnects: AtomicU64,
@@ -351,6 +378,8 @@ fn client_loop(shared: &Shared, addr: &str, c: usize, clients: usize, reconnect:
                 {
                     shared.resubmits.fetch_add(1, Ordering::AcqRel);
                 }
+                *shared.lifetime_acks.lock().expect("acks lock") += 1;
+                shared.ack.notify_all();
                 match conn.recv_done() {
                     Ok(done) => {
                         let owner = shared
@@ -397,18 +426,91 @@ fn client_loop(shared: &Shared, addr: &str, c: usize, clients: usize, reconnect:
     }
 }
 
-fn spawn_daemon(plan: &ChaosPlan, crash_env: Option<&str>) -> io::Result<Child> {
+/// What daemon lifetimes' WAL recoveries reported on their stdout.
+#[derive(Debug, Default, PartialEq)]
+struct Recovered {
+    replayed: u64,
+    resumed: u64,
+    torn_tails: u64,
+}
+
+impl Recovered {
+    /// Count one daemon output line: the `wal recovery:` replay and
+    /// torn-tail lines of `scratch-tool serve`; anything else is ignored.
+    fn tally(&mut self, line: &str) {
+        let number = |text: &str| -> u64 {
+            text.split_whitespace()
+                .next()
+                .and_then(|n| n.parse().ok())
+                .unwrap_or(0)
+        };
+        let Some(fact) = line.strip_prefix("wal recovery: ") else {
+            return;
+        };
+        if let Some((replayed, resumed)) = fact.split_once(" replayed (") {
+            self.replayed += number(replayed);
+            self.resumed += number(resumed);
+        } else if let Some(torn) = fact.strip_prefix("truncated ") {
+            self.torn_tails += u64::from(number(torn) > 0);
+        }
+    }
+}
+
+/// Echo a daemon lifetime's stdout to ours line by line, so its
+/// `wal recovery:` lines stay visible (CI greps them), and tally what its
+/// recovery reported. The thread ends when the daemon does.
+fn echo_daemon(stdout: ChildStdout) -> JoinHandle<Recovered> {
+    std::thread::spawn(move || {
+        let mut seen = Recovered::default();
+        for line in BufReader::new(stdout).lines().map_while(Result::ok) {
+            println!("{line}");
+            seen.tally(&line);
+        }
+        seen
+    })
+}
+
+fn spawn_daemon(
+    plan: &ChaosPlan,
+    crash_env: Option<&str>,
+) -> io::Result<(Child, JoinHandle<Recovered>)> {
     let mut cmd = Command::new(&plan.daemon[0]);
     cmd.args(&plan.daemon[1..])
         .args(["--addr", &plan.addr])
         .args(["--wal-dir", &plan.wal_dir.display().to_string()])
         .args(["--quantum", &plan.quantum.to_string()])
-        .stdin(Stdio::null());
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped());
     match crash_env {
         Some(spec) => cmd.env("SCRATCH_WAL_CRASH", spec),
         None => cmd.env_remove("SCRATCH_WAL_CRASH"),
     };
-    cmd.spawn()
+    let mut child = cmd.spawn()?;
+    let echo = echo_daemon(child.stdout.take().expect("stdout is piped"));
+    Ok((child, echo))
+}
+
+/// Block until this lifetime should end: `acks` admissions were acked in
+/// it (`None`: wait for the armed tear hook to abort the daemon), the
+/// daemon exited on its own, every job is done, or a 30 s safety net
+/// expired.
+fn await_lifetime_end(shared: &Shared, child: &mut Child, acks: Option<u64>) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut acked = shared.lifetime_acks.lock().expect("acks lock");
+    loop {
+        if acks.is_some_and(|target| *acked >= target)
+            || !matches!(child.try_wait(), Ok(None))
+            || shared.remaining.lock().expect("remaining lock").is_empty()
+            || Instant::now() > deadline
+        {
+            return;
+        }
+        acked = shared
+            .ack
+            .wait_timeout(acked, Duration::from_millis(5))
+            .expect("acks lock")
+            .0;
+    }
 }
 
 /// Poll until the daemon answers a ping. `Ok(false)` means the child
@@ -459,6 +561,8 @@ pub fn run_chaos(plan: &ChaosPlan) -> io::Result<ChaosReport> {
         specs,
         acked: Mutex::new(BTreeMap::new()),
         ever_acked: Mutex::new(BTreeSet::new()),
+        lifetime_acks: Mutex::new(0),
+        ack: Condvar::new(),
         stop: AtomicBool::new(false),
         resubmits: AtomicU64::new(0),
         reconnects: AtomicU64::new(0),
@@ -469,6 +573,14 @@ pub fn run_chaos(plan: &ChaosPlan) -> io::Result<ChaosReport> {
     let mut rng = plan.seed ^ 0xc4a0_5c4a_05c4_a05c;
     let mut kills = 0u32;
     let mut mid_append = 0u32;
+    let mut recovered = Recovered::default();
+    let mut settle = |child: &mut Child, echo: JoinHandle<Recovered>| {
+        let _ = child.wait();
+        let seen = echo.join().unwrap_or_default();
+        recovered.replayed += seen.replayed;
+        recovered.resumed += seen.resumed;
+        recovered.torn_tails += seen.torn_tails;
+    };
 
     for cycle in 0..plan.cycles {
         let armed = plan.mid_append_every > 0 && (cycle + 1) % plan.mid_append_every == 0;
@@ -478,36 +590,43 @@ pub fn run_chaos(plan: &ChaosPlan) -> io::Result<ChaosReport> {
             // few bytes — both drawn from the seed.
             format!("{}:{}", 5 + mix(&mut rng) % 40, 1 + mix(&mut rng) % 14)
         });
-        let mut child = spawn_daemon(plan, crash_spec.as_deref())?;
+        let (lo, hi) = plan.acks_per_lifetime;
+        let ack_target = lo + mix(&mut rng) % (hi.saturating_sub(lo) + 1);
+        let (mut child, mut echo) = spawn_daemon(plan, crash_spec.as_deref())?;
+        // An armed lifetime ends when its tear hook aborts the daemon.
+        let mut end_at_acks = (!armed).then_some(ack_target);
         if !wait_ready(&plan.addr, &mut child)? {
             // The armed tear fired before the daemon was ready (during
-            // replay appends). That *is* a crash cycle; restart clean.
-            let _ = child.wait();
-            child = spawn_daemon(plan, None)?;
+            // replay appends). That *is* this cycle's crash; restart
+            // clean and end the new lifetime with a plain kill.
+            settle(&mut child, echo);
+            (child, echo) = spawn_daemon(plan, None)?;
+            end_at_acks = Some(ack_target);
             if !wait_ready(&plan.addr, &mut child)? {
                 return Err(io::Error::other("daemon died twice before ready"));
             }
         }
+        *shared.lifetime_acks.lock().expect("acks lock") = 0;
         shared.stop.store(false, Ordering::Release);
-        let (lo, hi) = plan.uptime_ms;
-        let uptime = lo + mix(&mut rng) % (hi.saturating_sub(lo) + 1);
         std::thread::scope(|s| {
             for c in 0..clients {
                 let shared = &shared;
                 let addr = plan.addr.as_str();
                 s.spawn(move || client_loop(shared, addr, c, clients, false));
             }
-            std::thread::sleep(Duration::from_millis(uptime));
-            let _ = child.kill(); // SIGKILL on unix
+            await_lifetime_end(&shared, &mut child, end_at_acks);
+            if matches!(child.try_wait(), Ok(None)) {
+                let _ = child.kill(); // SIGKILL on unix
+                kills += 1;
+            }
             shared.stop.store(true, Ordering::Release);
         });
-        let _ = child.wait();
-        kills += 1;
+        settle(&mut child, echo);
     }
 
     // Final cycle: restart, drive every remaining job to completion, then
     // drain gracefully.
-    let mut child = spawn_daemon(plan, None)?;
+    let (mut child, echo) = spawn_daemon(plan, None)?;
     if !wait_ready(&plan.addr, &mut child)? {
         return Err(io::Error::other("final daemon lifetime died before ready"));
     }
@@ -521,7 +640,7 @@ pub fn run_chaos(plan: &ChaosPlan) -> io::Result<ChaosReport> {
     });
     let mut ctl = ServeClient::connect(&plan.addr)?;
     ctl.drain()?;
-    let _ = child.wait();
+    settle(&mut child, echo);
 
     // The audit: the log is the ledger.
     let state = WalState::read(&plan.wal_dir).map_err(io::Error::other)?;
@@ -561,6 +680,9 @@ pub fn run_chaos(plan: &ChaosPlan) -> io::Result<ChaosReport> {
         cycles: plan.cycles,
         kills,
         mid_append_crashes: mid_append,
+        replayed: recovered.replayed,
+        resumed: recovered.resumed,
+        torn_tails: recovered.torn_tails,
         jobs: shared.specs.len() as u64,
         acked: acked.len() as u64,
         admitted: state.admitted.len() as u64,
@@ -617,6 +739,7 @@ mod tests {
     fn report_summary_carries_the_grep_stable_verdict() {
         let mut r = ChaosReport {
             exactly_once: true,
+            replayed: 1,
             ..ChaosReport::default()
         };
         assert!(r.summary().contains("chaos: exactly-once OK"));
@@ -624,6 +747,41 @@ mod tests {
         r.losses = 2;
         assert!(r.summary().contains("chaos: exactly-once VIOLATED"));
         assert!(r.summary().contains("2 losses"));
+    }
+
+    #[test]
+    fn recovery_lines_are_tallied() {
+        let mut seen = Recovered::default();
+        for line in [
+            "wal recovery: 1 segments, 20 frames (10 admitted / 7 completed / 3 checkpoints) in 1 ms",
+            "wal recovery: 3 replayed (2 resumed from checkpoint), 7 deduped",
+            "wal recovery: truncated 6 torn bytes, dropped 0 segments after the damage",
+            "scratch-serve listening on 127.0.0.1:7999",
+            "wal recovery: 0 replayed (0 resumed from checkpoint), 96 deduped",
+            "wal recovery: truncated 0 torn bytes, dropped 1 segments after the damage",
+        ] {
+            seen.tally(line);
+        }
+        assert_eq!(
+            seen,
+            Recovered {
+                replayed: 3,
+                resumed: 2,
+                torn_tails: 1
+            }
+        );
+    }
+
+    #[test]
+    fn a_campaign_without_replays_is_not_ok() {
+        let mut r = ChaosReport {
+            exactly_once: true,
+            ..ChaosReport::default()
+        };
+        assert!(!r.ok(), "no recovery replayed a job");
+        assert!(r.summary().contains("recovery NOT exercised"));
+        r.replayed = 1;
+        assert!(r.ok());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   into unbounded latency. An accepted job always completes and is
 //!   always answered — there is no accepted-then-dropped path.
 //! * **Backpressure** — clients see `Rejected` with `retry_after_ms`
-//!   hints; the closed-loop [`load`] harness honours them, which is what
+//!   hints; the closed-loop [`run_load`] harness honours them, which is what
 //!   makes its saturation curves meaningful.
 //! * **Observability** — every decision lands in
 //!   [`scratch-metrics`](scratch_metrics): queue depth, per-reason shed

@@ -66,7 +66,7 @@ pub enum Request {
 }
 
 /// The payload of a [`Request::Submit`]. Its kernel words and `input`
-/// travel packed (see the [module docs](self)).
+/// travel packed ([`pack_words`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmitRequest {
     /// Tenant this job bills against (quotas and queues are per-tenant).
@@ -280,7 +280,7 @@ impl std::fmt::Display for RejectReason {
 }
 
 /// Completion record of one accepted job. Its `output` travels packed
-/// (see the [module docs](self)).
+/// ([`pack_words`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobDone {
     /// The id from the matching [`Response::Accepted`].

@@ -35,8 +35,9 @@
 //! `Always`/`Interval` bound the loss window against whole-machine
 //! failure. Only `Always` makes an append wait for the disk: `Interval`
 //! syncs on a background thread the writer owns, so the append path (and
-//! whatever lock its caller holds) never pays for a flush. The [`fault`]
-//! module hooks the append path for crash tests:
+//! whatever lock its caller holds) never pays for a flush. The fault
+//! hooks ([`AppendFault`], [`TearOnce`]) sabotage the append path for
+//! crash tests:
 //! a hook can tear a frame mid-write and abort, simulating the worst
 //! moment a power cut can pick.
 

@@ -499,7 +499,7 @@ impl Wal {
         self.active_index
     }
 
-    /// Install a test-only append saboteur (see [`crate::fault`]).
+    /// Install a test-only append saboteur (see [`AppendFault`](crate::AppendFault)).
     pub fn set_fault_hook(&mut self, hook: Box<dyn AppendFault>) {
         self.hook = Some(hook);
     }

@@ -1019,7 +1019,7 @@ fn real_main() -> Result<(), String> {
                     .unwrap_or(defaults.addr),
                 wal_dir,
                 quantum: flag_u64(&args, "--quantum", defaults.quantum)?.max(1),
-                uptime_ms: defaults.uptime_ms,
+                acks_per_lifetime: defaults.acks_per_lifetime,
                 mid_append_every: u32::try_from(flag_u64(
                     &args,
                     "--mid-append-every",
@@ -1054,6 +1054,11 @@ fn real_main() -> Result<(), String> {
                     let _ = std::fs::remove_dir_all(&plan.wal_dir);
                 }
                 Ok(())
+            } else if report.exactly_once {
+                Err(format!(
+                    "chaos: no recovery replayed a job, so recovery went untested (log kept at {})",
+                    plan.wal_dir.display()
+                ))
             } else {
                 Err(format!(
                     "chaos: exactly-once VIOLATED (log kept at {})",

@@ -105,9 +105,7 @@ fn scraping_after_a_dispatch_sees_every_layer() {
 #[test]
 fn preemptive_slicing_publishes_to_the_scrape_path() {
     let registry = Registry::new();
-    let engine = Engine::new(1)
-        .with_registry(registry.clone())
-        .start();
+    let engine = Engine::new(1).with_registry(registry.clone()).start();
 
     // One job sliced into three quanta (two yields, then done) and one
     // that never finishes on its own — cancellation stops it at a
