@@ -28,12 +28,11 @@
 //! point — the invariant must hold for every interleaving.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{self, BufRead, BufReader};
+use std::io;
 use std::path::PathBuf;
-use std::process::{Child, ChildStdout, Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -111,13 +110,17 @@ pub struct ChaosReport {
     pub kills: u32,
     /// Cycles where the mid-append tear-and-abort hook was armed.
     pub mid_append_crashes: u32,
-    /// Jobs the restarted daemons' recoveries re-admitted from the log,
-    /// summed over every restart. Must be above 0: a campaign whose kills
-    /// never caught a job in flight did not exercise recovery.
+    /// Jobs a crash left admitted but unfinished in the log, summed over
+    /// every crash: the next recovery had to replay each of them (the
+    /// audit then proves it completed exactly once). Must be above 0: a
+    /// campaign whose crashes never caught a job in flight did not
+    /// exercise recovery.
     pub replayed: u64,
-    /// Of [`replayed`](Self::replayed), jobs resumed from a checkpoint.
+    /// Of [`replayed`](Self::replayed), jobs with a checkpoint to resume
+    /// from.
     pub resumed: u64,
-    /// Recoveries that truncated a torn tail off the log.
+    /// Crashes that left a torn frame at the log's tail for the next
+    /// recovery to truncate.
     pub torn_tails: u64,
     /// Distinct jobs in the campaign.
     pub jobs: u64,
@@ -426,68 +429,18 @@ fn client_loop(shared: &Shared, addr: &str, c: usize, clients: usize, reconnect:
     }
 }
 
-/// What daemon lifetimes' WAL recoveries reported on their stdout.
-#[derive(Debug, Default, PartialEq)]
-struct Recovered {
-    replayed: u64,
-    resumed: u64,
-    torn_tails: u64,
-}
-
-impl Recovered {
-    /// Count one daemon output line: the `wal recovery:` replay and
-    /// torn-tail lines of `scratch-tool serve`; anything else is ignored.
-    fn tally(&mut self, line: &str) {
-        let number = |text: &str| -> u64 {
-            text.split_whitespace()
-                .next()
-                .and_then(|n| n.parse().ok())
-                .unwrap_or(0)
-        };
-        let Some(fact) = line.strip_prefix("wal recovery: ") else {
-            return;
-        };
-        if let Some((replayed, resumed)) = fact.split_once(" replayed (") {
-            self.replayed += number(replayed);
-            self.resumed += number(resumed);
-        } else if let Some(torn) = fact.strip_prefix("truncated ") {
-            self.torn_tails += u64::from(number(torn) > 0);
-        }
-    }
-}
-
-/// Echo a daemon lifetime's stdout to ours line by line, so its
-/// `wal recovery:` lines stay visible (CI greps them), and tally what its
-/// recovery reported. The thread ends when the daemon does.
-fn echo_daemon(stdout: ChildStdout) -> JoinHandle<Recovered> {
-    std::thread::spawn(move || {
-        let mut seen = Recovered::default();
-        for line in BufReader::new(stdout).lines().map_while(Result::ok) {
-            println!("{line}");
-            seen.tally(&line);
-        }
-        seen
-    })
-}
-
-fn spawn_daemon(
-    plan: &ChaosPlan,
-    crash_env: Option<&str>,
-) -> io::Result<(Child, JoinHandle<Recovered>)> {
+fn spawn_daemon(plan: &ChaosPlan, crash_env: Option<&str>) -> io::Result<Child> {
     let mut cmd = Command::new(&plan.daemon[0]);
     cmd.args(&plan.daemon[1..])
         .args(["--addr", &plan.addr])
         .args(["--wal-dir", &plan.wal_dir.display().to_string()])
         .args(["--quantum", &plan.quantum.to_string()])
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped());
+        .stdin(Stdio::null());
     match crash_env {
         Some(spec) => cmd.env("SCRATCH_WAL_CRASH", spec),
         None => cmd.env_remove("SCRATCH_WAL_CRASH"),
     };
-    let mut child = cmd.spawn()?;
-    let echo = echo_daemon(child.stdout.take().expect("stdout is piped"));
-    Ok((child, echo))
+    cmd.spawn()
 }
 
 /// Block until this lifetime should end: `acks` admissions were acked in
@@ -573,13 +526,21 @@ pub fn run_chaos(plan: &ChaosPlan) -> io::Result<ChaosReport> {
     let mut rng = plan.seed ^ 0xc4a0_5c4a_05c4_a05c;
     let mut kills = 0u32;
     let mut mid_append = 0u32;
-    let mut recovered = Recovered::default();
-    let mut settle = |child: &mut Child, echo: JoinHandle<Recovered>| {
+    // What each crash left for the next recovery: the unfinished jobs it
+    // must replay (and of those, the ones with a checkpoint to resume
+    // from), and whether the log ends in a torn frame.
+    let (mut replayed, mut resumed, mut torn_tails) = (0u64, 0u64, 0u64);
+    let mut crashed = |child: &mut Child| -> io::Result<()> {
         let _ = child.wait();
-        let seen = echo.join().unwrap_or_default();
-        recovered.replayed += seen.replayed;
-        recovered.resumed += seen.resumed;
-        recovered.torn_tails += seen.torn_tails;
+        let state = WalState::read(&plan.wal_dir).map_err(io::Error::other)?;
+        for id in state.admitted.keys() {
+            if !state.completions.contains_key(id) {
+                replayed += 1;
+                resumed += u64::from(state.checkpoints.contains_key(id));
+            }
+        }
+        torn_tails += u64::from(state.damage.is_some());
+        Ok(())
     };
 
     for cycle in 0..plan.cycles {
@@ -592,15 +553,15 @@ pub fn run_chaos(plan: &ChaosPlan) -> io::Result<ChaosReport> {
         });
         let (lo, hi) = plan.acks_per_lifetime;
         let ack_target = lo + mix(&mut rng) % (hi.saturating_sub(lo) + 1);
-        let (mut child, mut echo) = spawn_daemon(plan, crash_spec.as_deref())?;
+        let mut child = spawn_daemon(plan, crash_spec.as_deref())?;
         // An armed lifetime ends when its tear hook aborts the daemon.
         let mut end_at_acks = (!armed).then_some(ack_target);
         if !wait_ready(&plan.addr, &mut child)? {
             // The armed tear fired before the daemon was ready (during
             // replay appends). That *is* this cycle's crash; restart
             // clean and end the new lifetime with a plain kill.
-            settle(&mut child, echo);
-            (child, echo) = spawn_daemon(plan, None)?;
+            crashed(&mut child)?;
+            child = spawn_daemon(plan, None)?;
             end_at_acks = Some(ack_target);
             if !wait_ready(&plan.addr, &mut child)? {
                 return Err(io::Error::other("daemon died twice before ready"));
@@ -621,12 +582,12 @@ pub fn run_chaos(plan: &ChaosPlan) -> io::Result<ChaosReport> {
             }
             shared.stop.store(true, Ordering::Release);
         });
-        settle(&mut child, echo);
+        crashed(&mut child)?;
     }
 
     // Final cycle: restart, drive every remaining job to completion, then
     // drain gracefully.
-    let (mut child, echo) = spawn_daemon(plan, None)?;
+    let mut child = spawn_daemon(plan, None)?;
     if !wait_ready(&plan.addr, &mut child)? {
         return Err(io::Error::other("final daemon lifetime died before ready"));
     }
@@ -640,7 +601,7 @@ pub fn run_chaos(plan: &ChaosPlan) -> io::Result<ChaosReport> {
     });
     let mut ctl = ServeClient::connect(&plan.addr)?;
     ctl.drain()?;
-    settle(&mut child, echo);
+    let _ = child.wait();
 
     // The audit: the log is the ledger.
     let state = WalState::read(&plan.wal_dir).map_err(io::Error::other)?;
@@ -680,9 +641,9 @@ pub fn run_chaos(plan: &ChaosPlan) -> io::Result<ChaosReport> {
         cycles: plan.cycles,
         kills,
         mid_append_crashes: mid_append,
-        replayed: recovered.replayed,
-        resumed: recovered.resumed,
-        torn_tails: recovered.torn_tails,
+        replayed,
+        resumed,
+        torn_tails,
         jobs: shared.specs.len() as u64,
         acked: acked.len() as u64,
         admitted: state.admitted.len() as u64,
@@ -747,29 +708,6 @@ mod tests {
         r.losses = 2;
         assert!(r.summary().contains("chaos: exactly-once VIOLATED"));
         assert!(r.summary().contains("2 losses"));
-    }
-
-    #[test]
-    fn recovery_lines_are_tallied() {
-        let mut seen = Recovered::default();
-        for line in [
-            "wal recovery: 1 segments, 20 frames (10 admitted / 7 completed / 3 checkpoints) in 1 ms",
-            "wal recovery: 3 replayed (2 resumed from checkpoint), 7 deduped",
-            "wal recovery: truncated 6 torn bytes, dropped 0 segments after the damage",
-            "scratch-serve listening on 127.0.0.1:7999",
-            "wal recovery: 0 replayed (0 resumed from checkpoint), 96 deduped",
-            "wal recovery: truncated 0 torn bytes, dropped 1 segments after the damage",
-        ] {
-            seen.tally(line);
-        }
-        assert_eq!(
-            seen,
-            Recovered {
-                replayed: 3,
-                resumed: 2,
-                torn_tails: 1
-            }
-        );
     }
 
     #[test]

@@ -148,8 +148,6 @@ struct ServeMetrics {
     failed: Counter,
     cancelled: Counter,
     shed: [(RejectReason, Counter); 7],
-    queue_depth: Gauge,
-    in_flight: Gauge,
     connections: Gauge,
     queue_us: Histogram,
 }
@@ -311,14 +309,6 @@ impl ServeMetrics {
                 shed_counter(RejectReason::Invalid),
                 shed_counter(RejectReason::IdleTimeout),
             ],
-            queue_depth: r.gauge(
-                "scratch_serve_queue_depth",
-                "Admitted jobs waiting for an engine worker",
-            ),
-            in_flight: r.gauge(
-                "scratch_serve_in_flight",
-                "Admitted jobs executing right now",
-            ),
             connections: r.gauge("scratch_serve_connections", "Open client connections"),
             queue_us: r.histogram(
                 "scratch_serve_queue_micros",
@@ -524,14 +514,6 @@ impl Inner {
         }
     }
 
-    /// Update the backlog gauges from engine introspection.
-    fn publish_backlog(&self) {
-        self.metrics
-            .queue_depth
-            .set(self.engine.queue_depth() as f64);
-        self.metrics.in_flight.set(self.engine.in_flight() as f64);
-    }
-
     /// Jobs admitted but not yet completed.
     fn pending(&self) -> u64 {
         self.metrics.accepted.get() - self.metrics.completed.get()
@@ -647,7 +629,6 @@ impl Inner {
         if let Some(track) = &p.track {
             track.finish(outcome.id);
         }
-        self.publish_backlog();
         // Wake anyone waiting on drain progress.
         let (lock, cv) = &self.progress;
         let _guard = lock.lock().expect("progress lock");
@@ -774,7 +755,6 @@ impl Inner {
             track,
             Origin::Live { line },
         );
-        self.publish_backlog();
         Response::Accepted { job }
     }
 
@@ -872,18 +852,9 @@ impl Inner {
                     carried = Some(bytes);
                     Slice::Yield
                 }
-                Ok(SliceStep::Finished {
-                    cycles,
-                    instructions,
-                    words,
-                    signature,
-                }) => Slice::Done(Ok(Ok(RunOutcome {
-                    cycles,
-                    instructions,
-                    words,
-                    snap_us,
+                Ok(SliceStep::Finished(run)) => Slice::Done(Ok(Ok(RunOutcome {
                     slices: slice + 1,
-                    signature,
+                    ..run
                 }))),
                 Err(msg) => Slice::Done(Ok(Err(msg))),
             }
@@ -1020,7 +991,6 @@ impl Inner {
                 },
             );
         }
-        self.publish_backlog();
     }
 
     /// A logged job that can no longer be replayed (undecodable payload
@@ -1168,13 +1138,8 @@ fn micros(d: Duration) -> u64 {
 enum SliceStep {
     /// The quantum expired; the serialized checkpoint resumes the run.
     Paused(Vec<u8>),
-    /// The kernel completed.
-    Finished {
-        cycles: u64,
-        instructions: u64,
-        words: Vec<u32>,
-        signature: Option<InstrSignature>,
-    },
+    /// The kernel completed; the caller stamps the slice count.
+    Finished(RunOutcome),
 }
 
 /// Build the completed job's instruction-usage signature from whichever
@@ -1295,12 +1260,14 @@ fn run_slice(
             );
             let signature = profile.then(|| build_signature(req, kind, &sys)).flatten();
             mark(SpanKind::Reply);
-            Ok(SliceStep::Finished {
+            Ok(SliceStep::Finished(RunOutcome {
                 cycles: report.cu_cycles,
                 instructions: report.instructions(),
                 words,
+                snap_us: *snap_us,
+                slices: 0,
                 signature,
-            })
+            }))
         }
     }
 }
