@@ -52,7 +52,7 @@ use scratch_profile::{
     InstrSignature, JobSpans, SloSnapshot, SloWindow, SpanKind, SpanRecorder, SpanTrack,
 };
 use scratch_system::{
-    DispatchProgress, ExecMode, System, SystemCheckpoint, SystemConfig, SystemError, SystemKind,
+    DispatchProgress, ExecMode, System, SystemCheckpoint, SystemConfig, SystemKind,
 };
 use scratch_wal::{CrashOnAppend, PendingEntry, Record, RecoveryReport, Wal, WalConfig};
 
@@ -393,11 +393,6 @@ struct RunOutcome {
     signature: Option<InstrSignature>,
 }
 
-/// What a slice job resolves to: the run's [`RunOutcome`] or a failure
-/// description. Cancellation and panics arrive as the outer [`JobError`]
-/// instead.
-type JobResult = Result<RunOutcome, String>;
-
 /// Everything the router needs to answer and account for one admitted
 /// job once its outcome arrives, keyed by engine job id.
 struct PendingJob {
@@ -446,7 +441,7 @@ enum Origin {
 struct Inner {
     config: ServeConfig,
     registry: Registry,
-    engine: EngineHandle<JobResult>,
+    engine: EngineHandle<RunOutcome>,
     metrics: ServeMetrics,
     snap: SnapMetrics,
     tenants: Mutex<BTreeMap<String, Tenant>>,
@@ -522,7 +517,7 @@ impl Inner {
     /// Route one engine outcome: build the [`JobDone`], send it down the
     /// originating connection's channel, and settle all accounting. Runs
     /// on the router thread.
-    fn route(&self, outcome: JobOutcome<JobResult>) {
+    fn route(&self, outcome: JobOutcome<RunOutcome>) {
         let Some(p) = self
             .pending_jobs
             .lock()
@@ -542,7 +537,7 @@ impl Inner {
         let failure = |msg: String| (false, Some(msg), 0, 0, fnv1a(&[]), None, 0, 0, None);
         let (ok, error, cycles, instructions, digest, output, snap_us, slices, signature) =
             match outcome.result {
-                Ok(Ok(run)) => (
+                Ok(run) => (
                     true,
                     None,
                     run.cycles,
@@ -553,7 +548,8 @@ impl Inner {
                     run.slices,
                     run.signature,
                 ),
-                Ok(Err(msg)) => failure(msg),
+                Err(JobError::System(e)) => failure(e.to_string()),
+                Err(JobError::Failed(msg)) => failure(msg),
                 Err(JobError::Cancelled) => failure("cancelled".to_owned()),
                 Err(JobError::Panicked(_)) => {
                     failure("job panicked inside the simulator".to_owned())
@@ -815,7 +811,7 @@ impl Inner {
             None => (0u64, None),
         };
         let mut snap_us = 0u64;
-        let work = move |job: u64, slice: u64| -> Slice<JobResult> {
+        let work = move |job: u64, slice: u64| -> Slice<RunOutcome> {
             match run_slice(
                 &req,
                 kind,
@@ -852,11 +848,11 @@ impl Inner {
                     carried = Some(bytes);
                     Slice::Yield
                 }
-                Ok(SliceStep::Finished(run)) => Slice::Done(Ok(Ok(RunOutcome {
+                Ok(SliceStep::Finished(run)) => Slice::Done(Ok(RunOutcome {
                     slices: slice + 1,
                     ..run
-                }))),
-                Err(msg) => Slice::Done(Ok(Err(msg))),
+                })),
+                Err(e) => Slice::Done(Err(e)),
             }
         };
         conn_pending.fetch_add(1, Ordering::AcqRel);
@@ -1187,28 +1183,26 @@ fn run_slice(
     profile: bool,
     track: Option<&SpanTrack>,
     snap_us: &mut u64,
-) -> Result<SliceStep, String> {
+) -> Result<SliceStep, JobError> {
     let mark = |kind: SpanKind| {
         if let Some(t) = track {
             t.mark(kind);
         }
     };
-    let exec = req.exec_mode().map_err(|e| e.to_string())?;
+    let exec = req
+        .exec_mode()
+        .map_err(|e| JobError::Failed(e.to_string()))?;
     let mut config = SystemConfig::preset(kind)
         .with_registry(registry.clone())
         .with_exec(exec)
         .with_profile(profile);
-    let watched = scratch_engine::watchdog(&mut config, watchdog);
-    let map_err = |e: SystemError| match watched(e) {
-        JobError::System(e) => e.to_string(),
-        tripped => tripped.to_string(),
-    };
+    let map_err = scratch_engine::watchdog(&mut config, watchdog);
     let (sys, progress) = match carried {
         Some(bytes) => {
             mark(SpanKind::Restore);
             let resume_start = Instant::now();
             let ck: SystemCheckpoint = scratch_snap::from_bytes(&bytes)
-                .map_err(|e| format!("checkpoint decode failed: {e}"))?;
+                .map_err(|e| JobError::Failed(format!("checkpoint decode failed: {e}")))?;
             let mut sys = System::restore(&ck, Some(registry.clone())).map_err(map_err)?;
             sys.set_job_id(job);
             let restore_us = micros(resume_start.elapsed());
