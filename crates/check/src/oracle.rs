@@ -40,7 +40,8 @@ pub enum OracleKind {
     Roundtrip,
     /// Uninterrupted dispatch vs a preemptible dispatch whose checkpoint
     /// is serialised, decoded and restored between every quantum:
-    /// identical memory *and* identical cycle counts.
+    /// identical memory *and* identical cycle counts. The same slicing
+    /// resumed in place must also take byte-identical checkpoints.
     Checkpoint,
     /// Cycle pipeline vs the block-compiled fast tier
     /// ([`ExecMode::Fast`]) vs the self-checking shadow tier
@@ -393,13 +394,31 @@ fn fastpath(gk: &GenKernel) -> Outcome {
     }
 }
 
+/// How [`run_checkpointed`] continues a paused dispatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Resume {
+    /// The paused system resumes itself, as a served job does between
+    /// quanta.
+    InPlace,
+    /// A fresh system is rebuilt from the decoded checkpoint, as a job
+    /// recovered from the write-ahead log is.
+    Restored,
+}
+
+/// What a sliced run produced: its output words, its total cycle count,
+/// and the snap bytes of the checkpoint taken at every pause.
+type SlicedRun = (Vec<u32>, u64, Vec<Vec<u8>>);
+
 /// Run the kernel as a preemptible dispatch in `quantum`-cycle slices.
-/// Between every pair of quanta the whole machine is checkpointed, pushed
-/// through *both* wire formats (the snap binary codec, then JSON), the
-/// live [`System`] is dropped, and a fresh one is rebuilt from the decoded
-/// checkpoint — so any state the serialisers lose shows up as a
-/// divergence. Returns the output words and the total cycle count.
-fn run_checkpointed(gk: &GenKernel, quantum: u64) -> Result<(Vec<u32>, u64), String> {
+/// Between every pair of quanta the whole machine is checkpointed. With
+/// [`Resume::Restored`] the checkpoint is pushed through *both* wire
+/// formats (the snap binary codec, then JSON), the live [`System`] is
+/// dropped, and a fresh one is rebuilt from the decoded checkpoint — so
+/// any state the serialisers lose shows up as a divergence. With
+/// [`Resume::InPlace`] the paused system resumes itself, so comparing
+/// the two runs' checkpoints proves that a restored system is the one it
+/// was captured from.
+fn run_checkpointed(gk: &GenKernel, quantum: u64, resume: Resume) -> Result<SlicedRun, String> {
     let kernel = gk.build().map_err(|e| format!("build: {e}"))?;
     let config = SystemConfig::preset(SystemKind::DcdPm);
     let mut sys = System::new(config, &kernel).map_err(|e| e.to_string())?;
@@ -409,26 +428,58 @@ fn run_checkpointed(gk: &GenKernel, quantum: u64) -> Result<(Vec<u32>, u64), Str
     let mut progress = sys
         .dispatch_preemptible([gk.wgs, 1, 1], quantum)
         .map_err(|e| e.to_string())?;
+    let mut checkpoints = Vec::new();
     loop {
         match progress {
             DispatchProgress::Complete { cycles } => {
-                return Ok((sys.read_words(out, (gk.out_bytes() / 4) as usize), cycles));
+                let words = sys.read_words(out, (gk.out_bytes() / 4) as usize);
+                return Ok((words, cycles, checkpoints));
             }
             DispatchProgress::Paused => {
                 let ck = sys.checkpoint().map_err(|e| e.to_string())?;
-                drop(sys);
                 let bytes = scratch_snap::to_bytes(&ck);
-                let decoded: SystemCheckpoint =
-                    scratch_snap::from_bytes(&bytes).map_err(|e| format!("snap decode: {e}"))?;
-                let json =
-                    serde_json::to_string(&decoded).map_err(|e| format!("json encode: {e}"))?;
-                let decoded: SystemCheckpoint =
-                    serde_json::from_str(&json).map_err(|e| format!("json decode: {e}"))?;
-                sys = System::restore(&decoded, None).map_err(|e| e.to_string())?;
+                if resume == Resume::Restored {
+                    drop(sys);
+                    let decoded: SystemCheckpoint = scratch_snap::from_bytes(&bytes)
+                        .map_err(|e| format!("snap decode: {e}"))?;
+                    let json =
+                        serde_json::to_string(&decoded).map_err(|e| format!("json encode: {e}"))?;
+                    let decoded: SystemCheckpoint =
+                        serde_json::from_str(&json).map_err(|e| format!("json decode: {e}"))?;
+                    sys = System::restore(&decoded, None).map_err(|e| e.to_string())?;
+                }
+                checkpoints.push(bytes);
                 progress = sys.resume_dispatch(quantum).map_err(|e| e.to_string())?;
             }
         }
     }
+}
+
+/// The first difference between a restored and an in-place run of the
+/// same slicing: checkpoint bytes, output words or cycle count.
+fn in_place_mismatch(restored: &SlicedRun, in_place: &SlicedRun) -> Option<String> {
+    let (r_words, r_cycles, r_cks) = restored;
+    let (p_words, p_cycles, p_cks) = in_place;
+    if r_cks.len() != p_cks.len() {
+        return Some(format!(
+            "checkpoint counts differ: restored {} in place {}",
+            r_cks.len(),
+            p_cks.len()
+        ));
+    }
+    if let Some(k) = r_cks.iter().zip(p_cks).position(|(r, p)| r != p) {
+        let at = r_cks[k].iter().zip(&p_cks[k]).position(|(r, p)| r != p);
+        return Some(format!(
+            "checkpoint {k} differs: restored {} bytes, in place {} bytes, first at {at:?}",
+            r_cks[k].len(),
+            p_cks[k].len()
+        ));
+    }
+    if let Some((i, rv, pv)) = first_mismatch(r_words, p_words) {
+        return Some(format!("out[{i}]: restored={rv:#010x} in place={pv:#010x}"));
+    }
+    (r_cycles != p_cycles)
+        .then(|| format!("cycle counts differ: restored {r_cycles} in place {p_cycles}"))
 }
 
 fn checkpoint(gk: &GenKernel) -> Outcome {
@@ -445,30 +496,44 @@ fn checkpoint(gk: &GenKernel) -> Outcome {
         Ok(r) => r,
         Err(e) => {
             // A kernel the system rejects must be rejected by the
-            // preemptible path too, whatever the slicing.
-            return match run_checkpointed(gk, 1024) {
-                Err(_) => Outcome::Agree,
-                Ok(_) => Outcome::Diverge(format!("uninterrupted faulted, checkpointed ran: {e}")),
-            };
+            // preemptible path too, whatever the slicing and however it
+            // resumes.
+            for resume in [Resume::Restored, Resume::InPlace] {
+                if run_checkpointed(gk, 1024, resume).is_ok() {
+                    return Outcome::Diverge(format!(
+                        "uninterrupted faulted, checkpointed ({resume:?}) ran: {e}"
+                    ));
+                }
+            }
+            return Outcome::Agree;
         }
     };
     // A third of the uninterrupted run per slice forces at least two
     // checkpoint/restore round-trips through both serialisation formats.
     let quantum = (ref_cycles / 3).max(1);
-    match run_checkpointed(gk, quantum) {
-        Err(e) => Outcome::Diverge(format!("uninterrupted ran, checkpointed faulted: {e}")),
-        Ok((words, cycles)) => {
-            if let Some((i, uv, cv)) = first_mismatch(&ref_words, &words) {
-                return Outcome::Diverge(format!(
-                    "out[{i}]: uninterrupted={uv:#010x} checkpointed={cv:#010x}"
-                ));
-            }
-            if cycles != ref_cycles {
-                return Outcome::Diverge(format!(
-                    "cycle counts differ: uninterrupted {ref_cycles} checkpointed {cycles}"
-                ));
-            }
-            Outcome::Agree
-        }
+    let restored = match run_checkpointed(gk, quantum, Resume::Restored) {
+        Err(e) => return Outcome::Diverge(format!("uninterrupted ran, checkpointed faulted: {e}")),
+        Ok(run) => run,
+    };
+    let (words, cycles, _) = &restored;
+    if let Some((i, uv, cv)) = first_mismatch(&ref_words, words) {
+        return Outcome::Diverge(format!(
+            "out[{i}]: uninterrupted={uv:#010x} checkpointed={cv:#010x}"
+        ));
+    }
+    if *cycles != ref_cycles {
+        return Outcome::Diverge(format!(
+            "cycle counts differ: uninterrupted {ref_cycles} checkpointed {cycles}"
+        ));
+    }
+    // The same slicing resumed in place must take the very same
+    // checkpoints: the daemon journals in-place checkpoints and recovery
+    // restores them.
+    match run_checkpointed(gk, quantum, Resume::InPlace) {
+        Err(e) => Outcome::Diverge(format!("restored ran, in place faulted: {e}")),
+        Ok(in_place) => match in_place_mismatch(&restored, &in_place) {
+            Some(why) => Outcome::Diverge(why),
+            None => Outcome::Agree,
+        },
     }
 }

@@ -7,11 +7,11 @@
 //! fairly whatever their queue depths, and a cancelled job stops at its
 //! next quantum boundary instead of running to the end. The slice closure
 //! owns whatever state it needs to continue — the serving layer's jobs
-//! carry a serialized `scratch_system::SystemCheckpoint` between quanta.
+//! keep their paused `scratch_system::System` between quanta.
 //! A job whose first slice returns [`Slice::Done`] simply runs to
 //! completion: that is all a batch is ([`Engine::run_batch`]).
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -50,11 +50,14 @@ struct Job<T> {
     work: SliceFn<T>,
 }
 
-/// Scheduler state: one FIFO per tenant (in first-seen order) with a
-/// round-robin cursor between them.
+/// Scheduler state: one FIFO per tenant with queued work, and the ring
+/// of those tenants in round-robin order. A tenant's FIFO is dropped the
+/// moment it empties, so the scheduler holds state only for tenants
+/// with work, however many names it has ever seen.
 struct Sched<T> {
-    queues: Vec<(String, VecDeque<Job<T>>)>,
-    rr: usize,
+    queues: HashMap<String, VecDeque<Job<T>>>,
+    /// The tenants with a FIFO in `queues`, each once, next to pick first.
+    ring: VecDeque<String>,
     /// Ids whose cancellation was requested but not yet delivered.
     cancelled: HashSet<u64>,
     /// Ids submitted whose outcome has not been produced yet.
@@ -63,35 +66,35 @@ struct Sched<T> {
 }
 
 impl<T> Sched<T> {
-    /// Pop the next runnable job, tenant round-robin: starting from the
-    /// cursor, the first tenant with queued work gets one job picked, and
-    /// the cursor moves past it.
+    /// Pop the next runnable job, tenant round-robin: the tenant at the
+    /// front of the ring gets one job picked and moves to the back, or
+    /// leaves the ring (and drops its FIFO) when that was its last job.
     fn pick(&mut self) -> Option<Job<T>> {
-        let n = self.queues.len();
-        for k in 0..n {
-            let i = (self.rr + k) % n;
-            if let Some(job) = self.queues[i].1.pop_front() {
-                self.rr = (i + 1) % n;
-                return Some(job);
-            }
+        let tenant = self.ring.pop_front()?;
+        let queue = self.queues.get_mut(&tenant)?;
+        let job = queue.pop_front()?;
+        if queue.is_empty() {
+            self.queues.remove(&tenant);
+        } else {
+            self.ring.push_back(tenant);
         }
-        None
+        Some(job)
     }
 
-    /// Queue a job at the back of its tenant's FIFO, creating the
-    /// tenant's queue on first sight.
+    /// Queue a job at the back of its tenant's FIFO; a tenant without
+    /// queued work gets a fresh FIFO and joins the back of the ring.
     fn enqueue(&mut self, job: Job<T>) {
-        match self.queues.iter().position(|(t, _)| *t == job.tenant) {
-            Some(i) => self.queues[i].1.push_back(job),
-            None => {
-                let tenant = job.tenant.clone();
-                self.queues.push((tenant, VecDeque::from([job])));
-            }
+        if let Some(queue) = self.queues.get_mut(&job.tenant) {
+            queue.push_back(job);
+            return;
         }
+        self.ring.push_back(job.tenant.clone());
+        self.queues
+            .insert(job.tenant.clone(), VecDeque::from([job]));
     }
 
     fn queued(&self) -> usize {
-        self.queues.iter().map(|(_, q)| q.len()).sum()
+        self.queues.values().map(VecDeque::len).sum()
     }
 }
 
@@ -396,8 +399,8 @@ impl Engine {
         });
         let shared = Arc::new(Shared {
             sched: Mutex::new(Sched {
-                queues: Vec::new(),
-                rr: 0,
+                queues: HashMap::new(),
+                ring: VecDeque::new(),
                 cancelled: HashSet::new(),
                 live: HashSet::new(),
                 shutdown: false,
@@ -617,16 +620,21 @@ impl<T: Send + 'static> EngineHandle<T> {
         self.shared.in_flight.load(Ordering::Acquire)
     }
 
-    /// Parked jobs per tenant queue, in first-seen tenant order — the
-    /// live-introspection feed behind `scratch-tool ctl top`. Tenants
-    /// whose queue is currently empty still appear (with 0).
+    /// Parked jobs per tenant, in round-robin order — the
+    /// live-introspection feed behind `scratch-tool ctl top`. Only
+    /// tenants with queued jobs appear; any other tenant has 0.
     #[must_use]
     pub fn tenant_queue_depths(&self) -> Vec<(String, usize)> {
         let sched = self.shared.sched.lock().expect("engine sched lock");
         sched
-            .queues
+            .ring
             .iter()
-            .map(|(tenant, q)| (tenant.clone(), q.len()))
+            .map(|tenant| {
+                (
+                    tenant.clone(),
+                    sched.queues.get(tenant).map_or(0, VecDeque::len),
+                )
+            })
             .collect()
     }
 
@@ -820,6 +828,61 @@ mod tests {
             .histogram("scratch_engine_job_run_ticks", &[])
             .expect("run histogram registered");
         assert_eq!(run.count(), 2);
+    }
+
+    #[test]
+    fn idle_tenants_are_forgotten() {
+        // One job under each of 20 000 tenant names: once they complete
+        // the scheduler holds no state for any of them.
+        const TENANTS: u64 = 20_000;
+        let engine = Engine::new(2).with_metrics(false);
+        let mut handle: EngineHandle<u64> = engine.start();
+        for i in 0..TENANTS {
+            handle.submit(format!("tenant-{i}"), "one", move |_| Slice::Done(Ok(i)));
+        }
+        let mut done = 0;
+        while let Some(o) = handle.recv() {
+            assert!(o.result.is_ok());
+            done += 1;
+        }
+        assert_eq!(done, TENANTS);
+        assert!(handle.tenant_queue_depths().is_empty());
+        assert_eq!(handle.queue_depth(), 0);
+        let sched = handle.shared.sched.lock().unwrap();
+        assert!(sched.queues.is_empty() && sched.ring.is_empty());
+    }
+
+    #[test]
+    fn queue_depths_list_only_tenants_with_work_in_pick_order() {
+        // No workers pick anything until the gate opens, so the depths
+        // show the ring exactly as submitted.
+        let engine = Engine::new(1).with_metrics(false);
+        let handle: EngineHandle<u32> = engine.start();
+        let gate = Arc::new(Mutex::new(()));
+        let hold = gate.lock().unwrap();
+        let blocker = Arc::clone(&gate);
+        handle.submit("first", "blocker", move |_| {
+            drop(blocker.lock().unwrap());
+            Slice::Done(Ok(0))
+        });
+        while handle.in_flight() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for tenant in ["b", "a", "b", "c"] {
+            handle.submit(tenant, "queued", |_| Slice::Done(Ok(1)));
+        }
+        assert_eq!(
+            handle.tenant_queue_depths(),
+            vec![
+                ("b".to_owned(), 2),
+                ("a".to_owned(), 1),
+                ("c".to_owned(), 1)
+            ]
+        );
+        assert_eq!(handle.queue_depth(), 4);
+        drop(hold);
+        let outcomes = handle.join();
+        assert_eq!(outcomes.len(), 5);
     }
 
     #[test]

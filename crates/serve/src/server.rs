@@ -18,20 +18,26 @@
 //! A job does not own a worker for its whole run. Each admitted kernel
 //! executes in quanta of [`ServeConfig::quantum_cycles`] simulated
 //! cycles: when a quantum expires the simulator pauses at an instruction
-//! boundary, the full architectural state is captured as a
-//! `scratch_system::SystemCheckpoint`, serialized to the compact
-//! `scratch-snap` binary form, and the `System` is dropped; the next
-//! slice rebuilds it from those bytes and resumes. Checkpoint/restore is
+//! boundary, and the job keeps its paused `System` until the scheduler
+//! gives it another slice, which resumes it in place. With a WAL
+//! ([`ServeConfig::wal`]) every quantum boundary also captures the full
+//! architectural state as a `scratch_system::SystemCheckpoint`, encodes
+//! it in the compact `scratch-snap` binary form and journals it, so a
+//! restarted daemon decodes and restores the newest one and resumes the
+//! job mid-kernel. Pausing, resuming and checkpoint/restore are all
 //! bit-identical (outputs *and* cycle counts), so sliced served results
 //! match offline runs exactly. Between slices the scheduler round-robins
 //! across tenants, and a [`Request::Cancel`] takes effect at the next
 //! quantum boundary — long kernels can be stopped mid-flight without
-//! wedging a worker or blocking a drain.
+//! wedging a worker or blocking a drain. A finished or cancelled job
+//! drops its `System`.
 //!
 //! ## Admission control
 //!
 //! A submission passes four gates, in order: the server is not draining;
-//! the request is well-formed and within size limits; the shared engine
+//! the request is well-formed and within size limits (input, output and
+//! grid, the last against `scratch_system::MAX_DISPATCH_WORKGROUPS`, all
+//! checked before anything is allocated for it); the shared engine
 //! queue has room (`queue_cap`) and the tenant is below its own bound
 //! (`tenant_cap`); and the tenant's token bucket has a token. Each gate
 //! sheds with its own typed [`RejectReason`] so clients can tell "back
@@ -52,7 +58,8 @@ use scratch_profile::{
     InstrSignature, JobSpans, SloSnapshot, SloWindow, SpanKind, SpanRecorder, SpanTrack,
 };
 use scratch_system::{
-    DispatchProgress, ExecMode, System, SystemCheckpoint, SystemConfig, SystemKind,
+    dispatch_workgroups, DispatchProgress, ExecMode, System, SystemCheckpoint, SystemConfig,
+    SystemError, SystemKind,
 };
 use scratch_wal::{CrashOnAppend, PendingEntry, Record, RecoveryReport, Wal, WalConfig};
 
@@ -82,9 +89,10 @@ pub struct ServeConfig {
     /// to a failed [`JobDone`] instead of wedging a worker.
     pub watchdog_cycles: u64,
     /// Simulated cycles one execution slice may run before the job is
-    /// checkpointed and the worker moves to the next tenant's work.
-    /// Smaller quanta mean fairer scheduling and faster cancellation at
-    /// the cost of more checkpoint/restore round-trips.
+    /// paused and the worker moves to the next tenant's work. Smaller
+    /// quanta mean fairer scheduling and faster cancellation at the cost
+    /// of more slices, and, with a WAL, of more journaled checkpoints
+    /// (one per quantum boundary).
     pub quantum_cycles: u64,
     /// Largest accepted input buffer, in words.
     pub max_input_words: usize,
@@ -173,7 +181,7 @@ impl SnapMetrics {
             ),
             resume_us: r.histogram(
                 "scratch_snap_resume_micros",
-                "Microseconds to decode a checkpoint and rebuild the system",
+                "Microseconds to decode a recovered checkpoint and rebuild the system",
             ),
         }
     }
@@ -384,8 +392,8 @@ struct RunOutcome {
     cycles: u64,
     instructions: u64,
     words: Vec<u32>,
-    /// Microseconds spent capturing/serializing and decoding/restoring
-    /// checkpoints across all slices.
+    /// Microseconds spent capturing and encoding checkpoints for the WAL,
+    /// and decoding and restoring a recovered one, across all slices.
     snap_us: u64,
     /// Execution slices the run took.
     slices: u64,
@@ -429,7 +437,7 @@ enum Origin {
     /// journaled as the Admitted payload when the WAL is on.
     Live { line: Vec<u8> },
     /// Re-admitted by WAL replay under its original request id, which its
-    /// records keep settling under. `resume` seeds the slice loop with a
+    /// records keep settling under. `resume` seeds the first slice with a
     /// recovered checkpoint's `(out_addr, snap bytes)`.
     Replayed {
         wal_id: u64,
@@ -673,6 +681,11 @@ impl Inner {
             );
             return self.reject(&req.tenant, RejectReason::TooLarge, None, &msg);
         }
+        // An empty grid is left to fail its run, as it always has.
+        let wg_size = req.kernel.meta().workgroup_size;
+        if let Err(e @ SystemError::GridTooLarge { .. }) = dispatch_workgroups(req.grid, wg_size) {
+            return self.reject(&req.tenant, RejectReason::TooLarge, None, &e.to_string());
+        }
 
         // Tenant-table gates. The lock covers the bucket mutation and the
         // in-flight reservation, so two racing submissions cannot both
@@ -802,13 +815,12 @@ impl Inner {
         let profile = self.config.profile;
         let work_track = track.clone();
         let redelivered = wal_id.is_some();
-        // Checkpoint bytes carried between slices, plus the output base
-        // the first slice allocated (the restored system re-derives
-        // everything else from the checkpoint). Replay seeds both from
-        // the recovered checkpoint, so a restart resumes mid-kernel.
-        let (mut out_addr, mut carried) = match resume {
-            Some((addr, snap)) => (addr, Some(snap)),
-            None => (0u64, None),
+        // The job's state between slices, plus the output base the first
+        // slice allocated. Replay seeds both from the recovered
+        // checkpoint, so a restart resumes mid-kernel.
+        let (mut out_addr, mut state) = match resume {
+            Some((addr, snap)) => (addr, JobState::Recovered(snap)),
+            None => (0u64, JobState::Fresh),
         };
         let mut snap_us = 0u64;
         let work = move |job: u64, slice: u64| -> Slice<RunOutcome> {
@@ -818,34 +830,25 @@ impl Inner {
                 &inner.registry,
                 watchdog,
                 quantum,
-                carried.take(),
+                &mut state,
                 &mut out_addr,
+                inner.wal.is_some(),
                 &inner.snap,
                 job,
                 profile,
                 work_track.as_deref(),
                 &mut snap_us,
             ) {
-                Ok(SliceStep::Paused(bytes)) => {
-                    // Persist the quantum-boundary checkpoint, then carry
-                    // the same bytes into the next slice (destructured
-                    // back out of the record rather than cloned).
-                    let bytes = match &inner.wal {
-                        Some(plane) => {
-                            let record = Record::Checkpoint {
-                                id: wal_id.unwrap_or(job),
-                                out_addr,
-                                snap: bytes,
-                            };
-                            plane.append(&record);
-                            let Record::Checkpoint { snap, .. } = record else {
-                                unreachable!("just built as a checkpoint")
-                            };
-                            snap
-                        }
-                        None => bytes,
-                    };
-                    carried = Some(bytes);
+                Ok(SliceStep::Paused(snap)) => {
+                    // Journal the quantum-boundary checkpoint; the paused
+                    // system itself waits in `state` for the next slice.
+                    if let (Some(plane), Some(snap)) = (&inner.wal, snap) {
+                        plane.append(&Record::Checkpoint {
+                            id: wal_id.unwrap_or(job),
+                            out_addr,
+                            snap,
+                        });
+                    }
                     Slice::Yield
                 }
                 Ok(SliceStep::Finished(run)) => Slice::Done(Ok(RunOutcome {
@@ -1130,10 +1133,23 @@ fn micros(d: Duration) -> u64 {
     d.as_micros().try_into().unwrap_or(u64::MAX)
 }
 
+/// Where an admitted job's next slice starts.
+enum JobState {
+    /// Nothing has run yet: the slice builds the system from the request.
+    Fresh,
+    /// Re-admitted by WAL replay with a durable checkpoint: the slice
+    /// decodes and restores it.
+    Recovered(Vec<u8>),
+    /// Paused at a quantum boundary: the slice resumes it in place.
+    Paused(Box<System>),
+}
+
 /// What one execution slice produced.
 enum SliceStep {
-    /// The quantum expired; the serialized checkpoint resumes the run.
-    Paused(Vec<u8>),
+    /// The quantum expired and the system waits in the job's
+    /// [`JobState`]; carries the encoded checkpoint when one was captured
+    /// for the WAL.
+    Paused(Option<Vec<u8>>),
     /// The kernel completed; the caller stamps the slice count.
     Finished(RunOutcome),
 }
@@ -1164,11 +1180,14 @@ fn build_signature(req: &SubmitRequest, kind: SystemKind, sys: &System) -> Optio
 /// Run one quantum of an admitted submission on the calling engine
 /// worker. The first slice builds the system and mirrors a direct
 /// `scratch-system` run exactly (same allocation order, same argument
-/// convention); later slices rebuild it from the carried checkpoint
-/// bytes. Checkpoint/restore is bit-identical, so sliced served results
-/// match offline execution. Fast tiers have no cycle-accurate state to
-/// checkpoint (`SnapError::UnsupportedExecMode`), so a job that doesn't
-/// need cycle counts runs whole in its first slice with a plain dispatch.
+/// convention), or, for a job replayed from a durable checkpoint,
+/// restores it from those bytes. Later slices resume the paused system
+/// in place. Pausing and checkpoint/restore are bit-identical, so sliced
+/// served results match offline execution. At each pause, `capture`
+/// (set when a WAL will journal it) captures and encodes a checkpoint.
+/// Fast tiers have no cycle-accurate state to checkpoint
+/// (`SnapError::UnsupportedExecMode`), so a job that doesn't need cycle
+/// counts runs whole in its first slice with a plain dispatch.
 #[allow(clippy::too_many_arguments)]
 fn run_slice(
     req: &SubmitRequest,
@@ -1176,8 +1195,9 @@ fn run_slice(
     registry: &Registry,
     watchdog: u64,
     quantum: u64,
-    carried: Option<Vec<u8>>,
+    state: &mut JobState,
     out_addr: &mut u64,
+    capture: bool,
     snap: &SnapMetrics,
     job: u64,
     profile: bool,
@@ -1197,13 +1217,20 @@ fn run_slice(
         .with_exec(exec)
         .with_profile(profile);
     let map_err = scratch_engine::watchdog(&mut config, watchdog);
-    let (sys, progress) = match carried {
-        Some(bytes) => {
+    // The state is taken: a failed slice ends the job, a finished one
+    // drops its system, and a paused one puts it back below.
+    let (sys, progress) = match std::mem::replace(state, JobState::Fresh) {
+        JobState::Paused(mut sys) => {
+            mark(SpanKind::Run);
+            let progress = sys.resume_dispatch(quantum).map_err(map_err)?;
+            (sys, progress)
+        }
+        JobState::Recovered(bytes) => {
             mark(SpanKind::Restore);
             let resume_start = Instant::now();
             let ck: SystemCheckpoint = scratch_snap::from_bytes(&bytes)
                 .map_err(|e| JobError::Failed(format!("checkpoint decode failed: {e}")))?;
-            let mut sys = System::restore(&ck, Some(registry.clone())).map_err(map_err)?;
+            let mut sys = Box::new(System::restore(&ck, Some(registry.clone())).map_err(map_err)?);
             sys.set_job_id(job);
             let restore_us = micros(resume_start.elapsed());
             snap.resume_us.observe(restore_us);
@@ -1212,9 +1239,9 @@ fn run_slice(
             let progress = sys.resume_dispatch(quantum).map_err(map_err)?;
             (sys, progress)
         }
-        None => {
+        JobState::Fresh => {
             mark(SpanKind::Run);
-            let mut sys = System::new(config, &req.kernel).map_err(map_err)?;
+            let mut sys = Box::new(System::new(config, &req.kernel).map_err(map_err)?);
             sys.set_job_id(job);
             let out = sys.alloc(req.out_bytes.max(4));
             let mut args = vec![u32::try_from(out).unwrap_or(0)];
@@ -1235,14 +1262,20 @@ fn run_slice(
     };
     match progress {
         DispatchProgress::Paused => {
-            mark(SpanKind::Capture);
-            let capture_start = Instant::now();
-            let ck = sys.checkpoint().map_err(map_err)?;
-            let bytes = scratch_snap::to_bytes(&ck);
-            *snap_us += micros(capture_start.elapsed());
-            snap.checkpoints.inc();
-            snap.checkpoint_bytes.add(bytes.len() as u64);
+            let bytes = if capture {
+                mark(SpanKind::Capture);
+                let capture_start = Instant::now();
+                let ck = sys.checkpoint().map_err(map_err)?;
+                let bytes = scratch_snap::to_bytes(&ck);
+                *snap_us += micros(capture_start.elapsed());
+                snap.checkpoints.inc();
+                snap.checkpoint_bytes.add(bytes.len() as u64);
+                Some(bytes)
+            } else {
+                None
+            };
             // Back on the shelf until the scheduler's next turn.
+            *state = JobState::Paused(sys);
             mark(SpanKind::Queue);
             Ok(SliceStep::Paused(bytes))
         }

@@ -434,15 +434,67 @@ fn load_harness_produces_a_saturation_curve() {
 }
 
 #[test]
+fn oversized_grids_shed_before_allocation_and_the_daemon_keeps_serving() {
+    let registry = Registry::new();
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            registry: Some(registry.clone()),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind");
+    let gk = workload(13, 2);
+    let (_, words) = direct_run(&gk);
+    let mut client = ServeClient::connect(server.addr()).expect("connect");
+
+    // ~4.3e9 workgroups: planning their coordinates alone would take
+    // ~51 GB. Each grid is shed as TooLarge at admission.
+    let past_the_bound = (scratch_system::MAX_DISPATCH_WORKGROUPS + 1) as u32;
+    for grid in [[65_535, 65_535, 1], [past_the_bound, 1, 1], [u32::MAX; 3]] {
+        let mut huge = submit_of(&gk, "acme", "huge", false);
+        huge.grid = grid;
+        let shed = client
+            .submit(huge)
+            .expect("protocol")
+            .expect_err("a grid past the workgroup bound sheds");
+        assert_eq!(shed.reason, RejectReason::TooLarge, "{grid:?}");
+        assert!(shed.message.contains("too large"), "{}", shed.message);
+    }
+
+    // The daemon keeps serving on the same connection.
+    client
+        .submit(submit_of(&gk, "acme", "fits", true))
+        .expect("protocol")
+        .expect("a legal grid is admitted");
+    let d = client.recv_done().expect("the legal job completes");
+    assert!(d.ok, "legal job failed: {:?}", d.error);
+    assert_eq!(d.output.as_ref().expect("return_output"), &words);
+
+    let stats = server.shutdown();
+    assert_eq!(stats.accepted, 1, "no oversized grid was queued");
+    assert_eq!(stats.shed, 3);
+    assert_eq!(
+        registry
+            .snapshot()
+            .counter("scratch_serve_shed_total", &[("reason", "too_large")]),
+        Some(3)
+    );
+}
+
+#[test]
 fn preempted_jobs_checkpoint_and_match_direct_runs() {
     // Pick a quantum well below the kernel's runtime so every served job
-    // is forced through multiple checkpoint/restore round-trips, then
-    // demand bit-identity with an uninterrupted direct run anyway.
+    // is paused and resumed several times, then demand bit-identity with
+    // an uninterrupted direct run anyway. The WAL makes every quantum
+    // boundary capture and journal a checkpoint.
     let gk = workload(301, 4);
     let (ref_cycles, ref_words) = direct_run(&gk);
     let quantum = (ref_cycles / 4).max(1);
     assert!(ref_cycles > quantum, "workload outlives one quantum");
 
+    let dir = wal_dir("preempted");
     let registry = Registry::new();
     let server = Server::bind(
         "127.0.0.1:0",
@@ -450,6 +502,7 @@ fn preempted_jobs_checkpoint_and_match_direct_runs() {
             workers: 1,
             quantum_cycles: quantum,
             registry: Some(registry.clone()),
+            wal: Some(scratch_wal::WalConfig::new(&dir)),
             ..ServeConfig::default()
         },
     )
@@ -473,7 +526,8 @@ fn preempted_jobs_checkpoint_and_match_direct_runs() {
         assert_eq!(d.cycles, ref_cycles, "preemption changed the cycle count");
     }
 
-    // The checkpoint plane actually ran: captures, bytes, and restores.
+    // The checkpoint plane actually ran: captures and bytes. Live jobs
+    // resume in place, so nothing was restored.
     let snap = registry.snapshot();
     let checkpoints = snap
         .counter("scratch_snap_checkpoints_total", &[])
@@ -485,10 +539,11 @@ fn preempted_jobs_checkpoint_and_match_direct_runs() {
             > 0,
         "checkpoint bytes accounted"
     );
-    assert!(
+    assert_eq!(
         snap.histogram("scratch_snap_resume_micros", &[])
-            .is_some_and(|h| h.count() > 0),
-        "resume latency observed"
+            .map(|h| h.count()),
+        Some(0),
+        "live slices resume in place and record no resume sample"
     );
     assert!(
         snap.counter("scratch_preempt_quanta_total", &[])
@@ -506,23 +561,29 @@ fn preempted_jobs_checkpoint_and_match_direct_runs() {
     let stats = server.shutdown();
     assert_eq!(stats.completed, 2);
     assert_eq!(stats.failed, 0);
+    let state = scratch_wal::WalState::read(&dir).expect("readable log");
+    assert_eq!(
+        state.checkpoints.values().sum::<u64>(),
+        checkpoints,
+        "every captured checkpoint was journaled"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn cancel_stops_midflight_job_without_blocking_drain() {
-    // A deliberately long kernel sliced into many short quanta: cancel it
+    // A kernel that never terminates, sliced into short quanta (its
+    // 4e9-cycle watchdog budget is millions of slices away): cancel it
     // mid-flight, watch the Done arrive as `cancelled`, and prove the
-    // worker (and a subsequent drain) never wedge on it.
-    let gk = workload(401, 16);
-    let (ref_cycles, _) = direct_run(&gk);
-    let quantum = (ref_cycles / 50).max(1);
-
+    // worker (and a subsequent drain) never wedge on it. A long but
+    // finite kernel would race the cancel now that a paused job resumes
+    // in place instead of round-tripping a checkpoint every quantum.
     let registry = Registry::new();
     let server = Server::bind(
         "127.0.0.1:0",
         ServeConfig {
             workers: 1,
-            quantum_cycles: quantum,
+            quantum_cycles: 1_000,
             registry: Some(registry.clone()),
             ..ServeConfig::default()
         },
@@ -531,7 +592,7 @@ fn cancel_stops_midflight_job_without_blocking_drain() {
     let mut client = ServeClient::connect(server.addr()).expect("connect");
 
     let victim = client
-        .submit(submit_of(&gk, "acme", "victim", false))
+        .submit(spin_request(None))
         .expect("protocol")
         .expect("admits");
     assert!(
@@ -1163,6 +1224,96 @@ fn wal_replay_of_a_malformed_memory_image_fails_only_its_job() {
     assert_eq!(d.digest, fnv1a(&ok_words));
     server.shutdown();
 
+    let vr = scratch_wal::verify(&dir).expect("verify");
+    assert!(vr.clean(), "post-shutdown log must be clean: {vr:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A replayed job restores its durable checkpoint once and then runs in
+/// place: its first slice decodes and restores the genuine first-quantum
+/// checkpoint (one resume sample), every later quantum boundary journals
+/// a fresh checkpoint, and the result is bit-identical to a direct run.
+#[test]
+fn wal_replay_restores_once_then_resumes_in_place() {
+    use scratch_system::DispatchProgress;
+    use scratch_wal::{FsyncPolicy, Record, Wal, WalConfig};
+
+    const QUANTUM: u64 = 100;
+    let dir = wal_dir("restore-once");
+    let gk = workload(340, 2);
+    let (ref_cycles, ref_words) = direct_run(&gk);
+    assert!(ref_cycles > 3 * QUANTUM, "the replay outlives three quanta");
+
+    // The job's genuine first-quantum checkpoint, unmodified, as its
+    // first slice would have journaled it.
+    let kernel = gk.build().expect("buildable");
+    let mut sys = System::new(SystemConfig::preset(SystemKind::DcdPm), &kernel).expect("system");
+    let out = sys.alloc(gk.out_bytes().max(4));
+    let inp = sys.alloc_words(&gk.image);
+    sys.set_args(&[out as u32, inp as u32]);
+    assert_eq!(
+        sys.dispatch_preemptible([gk.wgs, 1, 1], QUANTUM)
+            .expect("dispatch"),
+        DispatchProgress::Paused
+    );
+    let snap = scratch_snap::to_bytes(&sys.checkpoint().expect("paused"));
+    {
+        let (mut wal, _) = Wal::open(WalConfig {
+            fsync: FsyncPolicy::Never,
+            ..WalConfig::new(&dir)
+        })
+        .expect("fresh log");
+        wal.append(&Record::Admitted {
+            id: 5,
+            tenant: "alpha".to_owned(),
+            label: "resumed".to_owned(),
+            payload: line_of(&gk, "alpha", "resumed"),
+        })
+        .expect("append");
+        wal.append(&Record::Checkpoint {
+            id: 5,
+            out_addr: out,
+            snap,
+        })
+        .expect("append");
+    }
+
+    let registry = Registry::new();
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            quantum_cycles: QUANTUM,
+            registry: Some(registry.clone()),
+            wal: Some(WalConfig::new(&dir)),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind with wal");
+    let report = server.recovery_report().expect("wal configured");
+    assert_eq!(report.replayed, 1);
+    assert_eq!(report.resumed, 1);
+
+    let meta = await_completion(&dir, 5);
+    assert!(meta.ok, "resumed job failed: {}", meta.error);
+    assert_eq!(meta.digest, fnv1a(&ref_words), "digest bit-identical");
+    assert_eq!(meta.cycles, ref_cycles, "cycles bit-identical");
+    server.shutdown();
+
+    assert_eq!(
+        registry
+            .snapshot()
+            .histogram("scratch_snap_resume_micros", &[])
+            .map(|h| h.count()),
+        Some(1),
+        "one restore, on the replayed job's first slice"
+    );
+    let state = scratch_wal::WalState::read(&dir).expect("readable log");
+    let journaled = state.checkpoints.get(&5).copied().unwrap_or(0);
+    assert!(
+        journaled >= 3,
+        "the forged checkpoint plus at least two more, got {journaled}"
+    );
     let vr = scratch_wal::verify(&dir).expect("verify");
     assert!(vr.clean(), "post-shutdown log must be clean: {vr:?}");
     let _ = std::fs::remove_dir_all(&dir);

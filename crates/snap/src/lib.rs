@@ -15,6 +15,8 @@
 //! The binary codec is a tagged tree encoding of [`serde::Value`] behind a
 //! `SNAP` magic and a little-endian `u32` format version; readers reject
 //! unknown versions outright ([`SnapError::Version`]) instead of guessing.
+//! Byte buffers (memory pages) travel as one packed run each, both in the
+//! value tree ([`Value::Bytes`]) and on the wire.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -92,9 +94,12 @@ impl From<DeError> for SnapError {
 // Binary codec
 // ---------------------------------------------------------------------------
 
-// Value tags. `BYTES` is a packing of an `Array` whose elements are all
-// `U64` values <= 255 (memory pages, LDS images); it decodes back to the
-// equivalent `Array`, so the optimization is invisible above the codec.
+// Value tags. `BYTES` packs a non-empty run of integers 0..=255: a
+// `Value::Bytes` (how `Vec<u8>` serializes: memory pages, epoch views)
+// or an `Array` whose elements all happen to be such `U64`s (an LDS
+// image of small words). It decodes to `Value::Bytes`, which compares
+// equal to that `Array` and deserializes into any integer sequence, so
+// the packing is invisible above the codec.
 const TAG_NULL: u8 = 0;
 const TAG_FALSE: u8 = 1;
 const TAG_TRUE: u8 = 2;
@@ -155,6 +160,17 @@ fn encode_value(out: &mut Vec<u8>, v: &Value) {
         Value::Str(s) => {
             out.push(TAG_STR);
             put_str(out, s);
+        }
+        // An empty run is written as the empty array it equals, so a
+        // buffer encodes the same whichever variant holds it.
+        Value::Bytes(bytes) if !bytes.is_empty() => {
+            out.push(TAG_BYTES);
+            put_varint(out, bytes.len() as u64);
+            out.extend_from_slice(bytes);
+        }
+        Value::Bytes(_) => {
+            out.push(TAG_ARRAY);
+            put_varint(out, 0);
         }
         Value::Array(items) => {
             let small = |it: &Value| matches!(it, Value::U64(n) if *n <= 0xff);
@@ -265,10 +281,7 @@ impl<'a> Reader<'a> {
             }
             TAG_BYTES => {
                 let n = self.count()?;
-                let bytes = self.take(n)?;
-                Ok(Value::Array(
-                    bytes.iter().map(|&b| Value::U64(u64::from(b))).collect(),
-                ))
+                Ok(Value::Bytes(self.take(n)?.to_vec()))
             }
             TAG_OBJECT => {
                 let n = self.count()?;
@@ -563,6 +576,49 @@ mod tests {
         assert_eq!(bytes.len(), 8 + 1 + 2 + 256);
         assert_eq!(bytes[8], TAG_BYTES);
         assert_eq!(round_trip(&v), v);
+    }
+
+    #[test]
+    fn byte_runs_encode_as_the_arrays_they_pack() {
+        for run in [(0u8..=255).collect::<Vec<u8>>(), vec![7], Vec::new()] {
+            let packed = Value::Bytes(run.clone());
+            let array = Value::Array(run.iter().map(|&b| Value::U64(u64::from(b))).collect());
+            assert_eq!(packed, array, "a run equals the array it packs");
+            assert_eq!(to_bytes(&packed), to_bytes(&array), "same wire bytes");
+            let decoded = round_trip(&packed);
+            assert_eq!(decoded, array);
+            assert_eq!(from_bytes::<Vec<u8>>(&to_bytes(&packed)), Ok(run));
+        }
+        assert_ne!(
+            Value::Bytes(vec![1, 2]),
+            Value::Array(vec![Value::U64(1), Value::I64(-2)])
+        );
+    }
+
+    #[test]
+    fn byte_buffers_serialize_as_one_run() {
+        let page = ImagePage {
+            index: 3,
+            data: vec![0, 1, 255],
+        };
+        let Value::Object(map) = page.to_sval() else {
+            panic!("a struct serializes to an object");
+        };
+        assert_eq!(map["data"], Value::Bytes(vec![0, 1, 255]));
+        assert!(matches!(map["data"], Value::Bytes(_)));
+        assert_eq!(from_bytes::<ImagePage>(&to_bytes(&page)), Ok(page));
+    }
+
+    #[test]
+    fn packed_runs_decode_into_any_integer_sequence() {
+        // Small words and tuples of small integers pack on the wire and
+        // come back as runs; every sequence type still reads them.
+        let words = vec![1u32, 2, 255];
+        assert_eq!(from_bytes::<Vec<u32>>(&to_bytes(&words)), Ok(words));
+        let pairs = vec![(1u32, 2u64), (3, 4)];
+        assert_eq!(from_bytes::<Vec<(u32, u64)>>(&to_bytes(&pairs)), Ok(pairs));
+        assert_eq!(from_bytes::<[u16; 2]>(&to_bytes(&[9u16, 8])), Ok([9, 8]));
+        assert!(from_bytes::<(u8, u8, u8)>(&to_bytes(&vec![1u8, 2])).is_err());
     }
 
     #[test]

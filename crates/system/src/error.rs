@@ -29,6 +29,18 @@ pub enum SystemError {
     ArgsNotSet,
     /// A zero-sized grid or workgroup was dispatched.
     EmptyDispatch,
+    /// A grid launching more than [`crate::MAX_DISPATCH_WORKGROUPS`]
+    /// workgroups, or one whose X extent in work-items does not fit the
+    /// 32-bit launch ABI, was dispatched (refused before anything is
+    /// planned for it).
+    GridTooLarge {
+        /// The grid, in workgroups.
+        grid: [u32; 3],
+        /// Work-items per workgroup.
+        workgroup_size: u32,
+        /// The most workgroups one dispatch may launch.
+        max: u64,
+    },
     /// A CU count outside what the FPGA allocator could ever place.
     InvalidCuCount {
         /// CUs requested.
@@ -186,6 +198,15 @@ impl fmt::Display for SystemError {
             ),
             SystemError::ArgsNotSet => write!(f, "kernel arguments not set before dispatch"),
             SystemError::EmptyDispatch => write!(f, "dispatch with an empty grid or workgroup"),
+            SystemError::GridTooLarge {
+                grid,
+                workgroup_size,
+                max,
+            } => write!(
+                f,
+                "grid {grid:?} of {workgroup_size}-item workgroups is too large: a dispatch \
+                 launches at most {max} workgroups and at most 2^32 work-items along X"
+            ),
             SystemError::InvalidCuCount { requested, max } => write!(
                 f,
                 "{requested} compute units requested, but the device routes at most {max}"

@@ -69,8 +69,8 @@ pub use error::{ImageFault, SystemError};
 pub use fault::{CuUpset, FaultSpec, MemUpset};
 pub use memory::{EpochDelta, EpochMemory, EpochState, MemTiming, MemoryState, SharedMemory};
 pub use system::{
-    DispatchProgress, ExecMode, RunReport, System, SystemCheckpoint, SystemConfig, SystemKind,
-    TraceMode, MAX_MEMORY_BYTES,
+    dispatch_workgroups, DispatchProgress, ExecMode, RunReport, System, SystemCheckpoint,
+    SystemConfig, SystemKind, TraceMode, MAX_DISPATCH_WORKGROUPS, MAX_MEMORY_BYTES,
 };
 
 pub use scratch_cu::{CuError, CuFault, CuStats, FaultRecord, FaultTarget};

@@ -116,6 +116,47 @@ pub enum ExecMode {
 /// allocating anything for it.
 pub const MAX_MEMORY_BYTES: usize = 64 << 20;
 
+/// The most workgroups one dispatch may launch: 2^18. A dispatch plans
+/// every workgroup's coordinates before it runs, and a paused one keeps
+/// them, so the grid bounds that bookkeeping (3 MiB at this bound). Each
+/// workgroup has at least one 64-lane wavefront, so a grid this large
+/// that wrote one word per lane would already fill [`MAX_MEMORY_BYTES`];
+/// the repository's kernels launch at most a few thousand.
+/// [`dispatch_workgroups`] checks a grid against it.
+pub const MAX_DISPATCH_WORKGROUPS: u64 = 1 << 18;
+
+/// The number of workgroups `grid` launches, with workgroups of
+/// `workgroup_size` work-items. [`System`]'s dispatches check every grid
+/// with it before planning anything; an admission controller can call it
+/// to refuse a grid before allocating anything for the job.
+///
+/// # Errors
+///
+/// [`SystemError::EmptyDispatch`] when the grid or the workgroup is
+/// empty; [`SystemError::GridTooLarge`] past [`MAX_DISPATCH_WORKGROUPS`]
+/// or when the grid's X extent in work-items overflows 32 bits (the
+/// launch ABI publishes it as one word).
+pub fn dispatch_workgroups(grid: [u32; 3], workgroup_size: u32) -> Result<u64, SystemError> {
+    let total = grid
+        .iter()
+        .try_fold(1u64, |acc, &g| acc.checked_mul(u64::from(g)));
+    if total == Some(0) || workgroup_size == 0 {
+        return Err(SystemError::EmptyDispatch);
+    }
+    match total {
+        Some(n)
+            if n <= MAX_DISPATCH_WORKGROUPS && grid[0].checked_mul(workgroup_size).is_some() =>
+        {
+            Ok(n)
+        }
+        _ => Err(SystemError::GridTooLarge {
+            grid,
+            workgroup_size,
+            max: MAX_DISPATCH_WORKGROUPS,
+        }),
+    }
+}
+
 /// Configuration of a [`System`].
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
@@ -925,10 +966,7 @@ impl System {
             .ok_or(SystemError::EmptyDispatch)?
             .clone();
         let wg_size = kernel.meta().workgroup_size;
-        let total_wgs = u64::from(grid[0]) * u64::from(grid[1]) * u64::from(grid[2]);
-        if total_wgs == 0 || wg_size == 0 {
-            return Err(SystemError::EmptyDispatch);
-        }
+        dispatch_workgroups(grid, wg_size)?;
         let waves_per_wg = (wg_size as usize).div_ceil(WAVEFRONT_SIZE);
         if let Some(buf) = &mut self.trace_buf {
             buf.record(&TraceEvent::KernelDispatch {
@@ -967,7 +1005,8 @@ impl System {
             }
         }
 
-        // OpenCL call values.
+        // OpenCL call values. The global X size cannot overflow its
+        // word: `dispatch_workgroups` refused such a grid above.
         self.mem.write_words(
             self.cb0_addr,
             &[grid[0], grid[1], grid[2], wg_size, grid[0] * wg_size],
@@ -2378,6 +2417,68 @@ mod tests {
         assert_eq!(sys.dispatch([1, 1, 1]), Err(SystemError::ArgsNotSet));
         sys.set_args(&[0, 0]);
         assert_eq!(sys.dispatch([0, 1, 1]), Err(SystemError::EmptyDispatch));
+    }
+
+    #[test]
+    fn grids_past_the_workgroup_bound_are_refused_before_planning() {
+        let max = MAX_DISPATCH_WORKGROUPS;
+        let too_large = |grid, workgroup_size| {
+            Err(SystemError::GridTooLarge {
+                grid,
+                workgroup_size,
+                max,
+            })
+        };
+        assert_eq!(dispatch_workgroups([4, 2, 1], 64), Ok(8));
+        assert_eq!(dispatch_workgroups([1 << 18, 1, 1], 64), Ok(max));
+        assert_eq!(
+            dispatch_workgroups([0, 1, 1], 64),
+            Err(SystemError::EmptyDispatch)
+        );
+        assert_eq!(
+            dispatch_workgroups([1, 1, 1], 0),
+            Err(SystemError::EmptyDispatch)
+        );
+        assert_eq!(
+            dispatch_workgroups([1 << 18, 2, 1], 64),
+            too_large([1 << 18, 2, 1], 64)
+        );
+        // ~4.3e9 workgroups: ~51 GB of coordinates, were they planned.
+        assert_eq!(
+            dispatch_workgroups([65_535, 65_535, 1], 64),
+            too_large([65_535, 65_535, 1], 64)
+        );
+        // The product of three u32s overflows u64; the check does not.
+        assert_eq!(
+            dispatch_workgroups([u32::MAX; 3], 64),
+            too_large([u32::MAX; 3], 64)
+        );
+        // Within the workgroup bound, but 2^17 * 2^16 work-items along X
+        // do not fit the launch ABI's 32-bit global size.
+        assert_eq!(
+            dispatch_workgroups([1 << 17, 1, 1], 1 << 16),
+            too_large([1 << 17, 1, 1], 1 << 16)
+        );
+
+        // Every dispatch path refuses such a grid, and the system stays
+        // usable for a legal one.
+        let kernel = add_one_kernel(64);
+        let mut sys = System::new(SystemConfig::preset(SystemKind::DcdPm), &kernel).unwrap();
+        let a_in = sys.alloc_words(&[1; 64]);
+        let a_out = sys.alloc(64 * 4);
+        sys.set_args(&[a_in as u32, a_out as u32]);
+        let huge = [65_535, 65_535, 1];
+        assert!(matches!(
+            sys.dispatch(huge),
+            Err(SystemError::GridTooLarge { .. })
+        ));
+        assert!(matches!(
+            sys.dispatch_preemptible(huge, 100),
+            Err(SystemError::GridTooLarge { .. })
+        ));
+        assert!(!sys.is_paused());
+        sys.dispatch([1, 1, 1]).expect("a legal grid still runs");
+        assert_eq!(sys.read_words(a_out, 64), vec![2; 64]);
     }
 
     #[test]
