@@ -15,8 +15,9 @@
 //! The binary codec is a tagged tree encoding of [`serde::Value`] behind a
 //! `SNAP` magic and a little-endian `u32` format version; readers reject
 //! unknown versions outright ([`SnapError::Version`]) instead of guessing.
-//! Byte buffers (memory pages) travel as one packed run each, both in the
-//! value tree ([`Value::Bytes`]) and on the wire.
+//! Byte and word buffers (memory pages, register files, program words)
+//! are one packed run each in the value tree ([`Value::Bytes`],
+//! [`Value::Words`]), written straight from the run to the wire.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -95,11 +96,12 @@ impl From<DeError> for SnapError {
 // ---------------------------------------------------------------------------
 
 // Value tags. `BYTES` packs a non-empty run of integers 0..=255: a
-// `Value::Bytes` (how `Vec<u8>` serializes: memory pages, epoch views)
-// or an `Array` whose elements all happen to be such `U64`s (an LDS
-// image of small words). It decodes to `Value::Bytes`, which compares
-// equal to that `Array` and deserializes into any integer sequence, so
-// the packing is invisible above the codec.
+// `Value::Bytes` (how `Vec<u8>` serializes: memory pages, epoch views),
+// or a `Value::Words` or `Array` whose elements all happen to fit a byte
+// (an LDS image of small words). It decodes to `Value::Bytes`, which
+// compares equal to that `Array` and deserializes into any integer
+// sequence, so the packing is invisible above the codec. A word run
+// with a larger element is written as the `ARRAY` of `U64`s it equals.
 const TAG_NULL: u8 = 0;
 const TAG_FALSE: u8 = 1;
 const TAG_TRUE: u8 = 2;
@@ -140,6 +142,25 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Write a packed run exactly as the `Array` of `U64`s it equals would
+/// be written, so a buffer encodes the same whichever variant holds it:
+/// `BYTES` when it is non-empty and every integer fits a byte, else an
+/// `ARRAY` (empty, or of tagged varints).
+fn put_run<T: Copy + Into<u64>>(out: &mut Vec<u8>, items: &[T]) {
+    if !items.is_empty() && items.iter().all(|&n| n.into() <= 0xff) {
+        out.push(TAG_BYTES);
+        put_varint(out, items.len() as u64);
+        out.extend(items.iter().map(|&n| n.into() as u8));
+    } else {
+        out.push(TAG_ARRAY);
+        put_varint(out, items.len() as u64);
+        for &n in items {
+            out.push(TAG_U64);
+            put_varint(out, n.into());
+        }
+    }
+}
+
 fn encode_value(out: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => out.push(TAG_NULL),
@@ -161,17 +182,8 @@ fn encode_value(out: &mut Vec<u8>, v: &Value) {
             out.push(TAG_STR);
             put_str(out, s);
         }
-        // An empty run is written as the empty array it equals, so a
-        // buffer encodes the same whichever variant holds it.
-        Value::Bytes(bytes) if !bytes.is_empty() => {
-            out.push(TAG_BYTES);
-            put_varint(out, bytes.len() as u64);
-            out.extend_from_slice(bytes);
-        }
-        Value::Bytes(_) => {
-            out.push(TAG_ARRAY);
-            put_varint(out, 0);
-        }
+        Value::Bytes(bytes) => put_run(out, bytes),
+        Value::Words(words) => put_run(out, words),
         Value::Array(items) => {
             let small = |it: &Value| matches!(it, Value::U64(n) if *n <= 0xff);
             if !items.is_empty() && items.iter().all(small) {
@@ -579,24 +591,46 @@ mod tests {
     }
 
     #[test]
-    fn byte_runs_encode_as_the_arrays_they_pack() {
+    fn packed_runs_encode_as_the_arrays_they_pack() {
+        let array = |ints: &[u64]| Value::Array(ints.iter().map(|&n| Value::U64(n)).collect());
         for run in [(0u8..=255).collect::<Vec<u8>>(), vec![7], Vec::new()] {
-            let packed = Value::Bytes(run.clone());
-            let array = Value::Array(run.iter().map(|&b| Value::U64(u64::from(b))).collect());
-            assert_eq!(packed, array, "a run equals the array it packs");
-            assert_eq!(to_bytes(&packed), to_bytes(&array), "same wire bytes");
-            let decoded = round_trip(&packed);
-            assert_eq!(decoded, array);
-            assert_eq!(from_bytes::<Vec<u8>>(&to_bytes(&packed)), Ok(run));
+            let ints: Vec<u64> = run.iter().map(|&b| u64::from(b)).collect();
+            let bytes = Value::Bytes(run.clone());
+            let words = Value::Words(run.iter().map(|&b| u32::from(b)).collect());
+            for packed in [&bytes, &words] {
+                assert_eq!(*packed, array(&ints), "a run equals the array it packs");
+                assert_eq!(to_bytes(packed), to_bytes(&array(&ints)), "same wire bytes");
+                assert_eq!(round_trip(packed), array(&ints));
+                assert_eq!(packed.to_string(), array(&ints).to_string(), "same JSON");
+                assert_eq!(
+                    serde::value::to_json_pretty(packed),
+                    serde::value::to_json_pretty(&array(&ints))
+                );
+            }
+            assert_eq!(bytes, words, "runs of the same integers are equal");
+            assert_eq!(from_bytes::<Vec<u8>>(&to_bytes(&bytes)), Ok(run));
         }
+        // A word past a byte sends the run out as its array of varints.
+        let wide = [0u32, 255, 256, u32::MAX];
+        let words = Value::Words(wide.to_vec());
+        let ints = wide.map(u64::from);
+        assert_eq!(words, array(&ints));
+        assert_eq!(to_bytes(&words), to_bytes(&array(&ints)), "same wire bytes");
+        assert_eq!(words.to_string(), "[0,255,256,4294967295]");
+        assert_eq!(round_trip(&words), words);
+        assert_eq!(from_bytes::<Vec<u32>>(&to_bytes(&words)), Ok(wide.to_vec()));
+
         assert_ne!(
             Value::Bytes(vec![1, 2]),
             Value::Array(vec![Value::U64(1), Value::I64(-2)])
         );
+        assert_ne!(Value::Words(vec![1, 2]), array(&[1]));
+        assert_ne!(Value::Words(vec![1, 2]), Value::Bytes(vec![1, 2, 3]));
+        assert_ne!(Value::Words(vec![1]), Value::U64(1));
     }
 
     #[test]
-    fn byte_buffers_serialize_as_one_run() {
+    fn byte_and_word_buffers_serialize_as_one_run() {
         let page = ImagePage {
             index: 3,
             data: vec![0, 1, 255],
@@ -604,9 +638,22 @@ mod tests {
         let Value::Object(map) = page.to_sval() else {
             panic!("a struct serializes to an object");
         };
-        assert_eq!(map["data"], Value::Bytes(vec![0, 1, 255]));
-        assert!(matches!(map["data"], Value::Bytes(_)));
+        assert!(matches!(&map["data"], Value::Bytes(b) if *b == [0, 1, 255]));
         assert_eq!(from_bytes::<ImagePage>(&to_bytes(&page)), Ok(page));
+
+        let workgroup = WorkgroupSnapshot {
+            lds: vec![1, 70_000],
+            waves: vec![0, 1],
+            arrived: 0,
+        };
+        let Value::Object(map) = workgroup.to_sval() else {
+            panic!("a struct serializes to an object");
+        };
+        assert!(matches!(&map["lds"], Value::Words(w) if *w == [1, 70_000]));
+        assert_eq!(
+            from_bytes::<WorkgroupSnapshot>(&to_bytes(&workgroup)),
+            Ok(workgroup)
+        );
     }
 
     #[test]

@@ -1284,12 +1284,8 @@ impl System {
             cu_state: self.cus.iter().map(ComputeUnit::snapshot).collect(),
             paused: PausedState {
                 kernel_idx: p.kernel_idx as u64,
-                grid: (p.grid[0], p.grid[1], p.grid[2]),
-                assignments: p
-                    .assignments
-                    .iter()
-                    .map(|wgs| wgs.iter().map(|w| (w[0], w[1], w[2])).collect())
-                    .collect(),
+                grid: p.grid,
+                assignments: p.assignments.clone(),
                 cursors: p.cursors.clone(),
                 epochs: p.epochs.clone(),
                 before: p.before.clone(),
@@ -1391,7 +1387,7 @@ impl System {
         let waves_per_wg = (wg_size as usize).div_ceil(WAVEFRONT_SIZE);
         sys.paused = Some(PausedDispatch {
             kernel_idx: kidx,
-            grid: [ck.paused.grid.0, ck.paused.grid.1, ck.paused.grid.2],
+            grid: ck.paused.grid,
             launch: Launch {
                 kernel,
                 wg_size,
@@ -1400,12 +1396,7 @@ impl System {
                 args_addr,
                 args_len: ck.args_len,
             },
-            assignments: ck
-                .paused
-                .assignments
-                .iter()
-                .map(|wgs| wgs.iter().map(|&(x, y, z)| [x, y, z]).collect())
-                .collect(),
+            assignments: ck.paused.assignments.clone(),
             cursors: ck.paused.cursors.clone(),
             epochs: ck.paused.epochs.clone(),
             before: ck.paused.before.clone(),
@@ -1813,12 +1804,14 @@ struct PausedDispatch {
 }
 
 /// Serializable form of [`PausedDispatch`]: the launch is rebuilt from
-/// the checkpointed kernel list on restore.
+/// the checkpointed kernel list on restore. Each workgroup coordinate is
+/// one word run, encoded as the three-element array `FORMAT_VERSION` 1
+/// fixes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct PausedState {
     kernel_idx: u64,
-    grid: (u32, u32, u32),
-    assignments: Vec<Vec<(u32, u32, u32)>>,
+    grid: [u32; 3],
+    assignments: CuAssignments,
     cursors: Vec<ShareCursor>,
     epochs: Vec<Option<EpochState>>,
     before: Vec<u64>,
