@@ -575,9 +575,8 @@ fn cancel_stops_midflight_job_without_blocking_drain() {
     // A kernel that never terminates, sliced into short quanta (its
     // 4e9-cycle watchdog budget is millions of slices away): cancel it
     // mid-flight, watch the Done arrive as `cancelled`, and prove the
-    // worker (and a subsequent drain) never wedge on it. A long but
-    // finite kernel would race the cancel now that a paused job resumes
-    // in place instead of round-tripping a checkpoint every quantum.
+    // worker (and a subsequent drain) never wedge on it. A finite kernel
+    // could finish before the cancel arrives.
     let registry = Registry::new();
     let server = Server::bind(
         "127.0.0.1:0",
